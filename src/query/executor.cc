@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "query/kernels.h"
@@ -160,12 +161,10 @@ class QueryScope {
 
 }  // namespace
 
-template <typename PosAt, typename Pred>
-std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
-                                                    const PosAt& pos_at,
-                                                    const Pred& pred,
-                                                    QueryStats* stats) const {
-  const std::span<const Element> elements = relation_.elements();
+template <typename ScanRange>
+std::vector<uint64_t> QueryExecutor::DriveMorsels(size_t count,
+                                                  const ScanRange& scan,
+                                                  QueryStats* stats) const {
   ThreadPool* pool = options_.pool;
   const size_t grain = options_.morsel_size == 0 ? 1 : options_.morsel_size;
   const bool parallel =
@@ -178,22 +177,16 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
     if (stats) scan_start = std::chrono::steady_clock::now();
     size_t scanned = count;
     if (trace == nullptr) {
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t pos = pos_at(i);
-        if (pred(elements[pos])) out.push_back(pos);
-      }
+      scan(0, count, &out);
     } else {
       // With a trace attached, cancellation is polled once per grain-sized
       // chunk — the serial mirror of the per-morsel checks below, so a
-      // deadline stops a long serial scan within one morsel too.
+      // deadline stops a long serial scan within one morsel too. Chunked
+      // scans concatenate exactly like one scan over the whole range.
       size_t base = 0;
       for (; base < count; base += grain) {
         if (trace->CancellationRequested()) break;
-        const size_t stop = std::min(count, base + grain);
-        for (size_t i = base; i < stop; ++i) {
-          const uint64_t pos = pos_at(i);
-          if (pred(elements[pos])) out.push_back(pos);
-        }
+        scan(base, std::min(count, base + grain), &out);
       }
       scanned = std::min(base, count);
       if (stats && base < count) {
@@ -210,11 +203,12 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
     return out;
   }
 
-  // Morsel-parallel: workers claim contiguous candidate chunks and fill
-  // per-morsel buffers; concatenating the buffers in morsel order makes the
-  // output identical to the serial loop above. Per-morsel scan durations
-  // accumulate into cpu_micros — the summed cross-worker time whose gap to
-  // wall_micros is the parallel speedup.
+  // Morsel-parallel: workers claim contiguous candidate chunks and scan each
+  // into a private buffer (for a kernel, its drained selection bitmap);
+  // concatenating the buffers in morsel order makes the output identical to
+  // the serial loop above. Per-morsel scan durations accumulate into
+  // cpu_micros — the summed cross-worker time whose gap to wall_micros is
+  // the parallel speedup.
   const size_t morsels = (count + grain - 1) / grain;
   std::vector<std::vector<uint64_t>> parts(morsels);
   std::atomic<uint64_t> cpu_micros{0};
@@ -230,98 +224,7 @@ std::vector<uint64_t> QueryExecutor::CollectMatches(size_t count,
                       }
                       std::chrono::steady_clock::time_point morsel_start;
                       if (stats) morsel_start = std::chrono::steady_clock::now();
-                      std::vector<uint64_t>& part = parts[morsel];
-                      for (size_t i = begin; i < end; ++i) {
-                        const uint64_t pos = pos_at(i);
-                        if (pred(elements[pos])) part.push_back(pos);
-                      }
-                      if (stats) {
-                        cpu_micros.fetch_add(
-                            MicrosBetween(morsel_start,
-                                          std::chrono::steady_clock::now()),
-                            std::memory_order_relaxed);
-                      }
-                    });
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out.reserve(total);
-  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
-  if (stats) {
-    stats->morsels_executed += morsels;
-    stats->cpu_micros += cpu_micros.load(std::memory_order_relaxed);
-    stats->rows_scanned += count - skipped_rows.load(std::memory_order_relaxed);
-    stats->rows_matched += total;
-    stats->scan_aborts += aborts.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::vector<uint64_t> QueryExecutor::CollectColumnar(
-    ScanKernel kernel, size_t first, size_t last, int64_t lo_micros,
-    int64_t hi_micros, int64_t as_of_micros, QueryStats* stats) const {
-  const StampColumns cols = relation_.stamps().columns();
-  const size_t count = last - first;
-  ThreadPool* pool = options_.pool;
-  const size_t grain = options_.morsel_size == 0 ? 1 : options_.morsel_size;
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && count > grain &&
-      optimizer_.ShouldParallelize(count, options_.parallel_cutoff);
-  TraceContext* const trace = options_.trace;
-  std::vector<uint64_t> out;
-  if (!parallel) {
-    std::chrono::steady_clock::time_point scan_start;
-    if (stats) scan_start = std::chrono::steady_clock::now();
-    size_t scanned = count;
-    if (trace == nullptr) {
-      KernelScan(kernel, cols, first, last, lo_micros, hi_micros, as_of_micros,
-                 &out);
-    } else {
-      // Chunked kernel invocations concatenate exactly like the per-morsel
-      // calls below, buying a cancellation poll per grain rows.
-      size_t base = 0;
-      for (; base < count; base += grain) {
-        if (trace->CancellationRequested()) break;
-        const size_t stop = std::min(count, base + grain);
-        KernelScan(kernel, cols, first + base, first + stop, lo_micros,
-                   hi_micros, as_of_micros, &out);
-      }
-      scanned = std::min(base, count);
-      if (stats && base < count) {
-        stats->scan_aborts += (count - base + grain - 1) / grain;
-      }
-    }
-    if (stats && count > 0) {
-      stats->morsels_executed += 1;
-      stats->cpu_micros +=
-          MicrosBetween(scan_start, std::chrono::steady_clock::now());
-      stats->rows_scanned += scanned;
-      stats->rows_matched += out.size();
-    }
-    return out;
-  }
-
-  // Same morsel decomposition as CollectMatches: each morsel runs the kernel
-  // over its contiguous block into a private buffer (the drained selection
-  // bitmap), and buffers concatenate in morsel order — byte-identical to the
-  // serial kernel at any thread count.
-  const size_t morsels = (count + grain - 1) / grain;
-  std::vector<std::vector<uint64_t>> parts(morsels);
-  std::atomic<uint64_t> cpu_micros{0};
-  std::atomic<uint64_t> skipped_rows{0};
-  std::atomic<uint64_t> aborts{0};
-  pool->ParallelFor(count, grain,
-                    [&](size_t morsel, size_t begin, size_t end) {
-                      if (trace != nullptr && trace->CancellationRequested()) {
-                        aborts.fetch_add(1, std::memory_order_relaxed);
-                        skipped_rows.fetch_add(end - begin,
-                                               std::memory_order_relaxed);
-                        return;
-                      }
-                      std::chrono::steady_clock::time_point morsel_start;
-                      if (stats) morsel_start = std::chrono::steady_clock::now();
-                      KernelScan(kernel, cols, first + begin, first + end,
-                                 lo_micros, hi_micros, as_of_micros,
-                                 &parts[morsel]);
+                      scan(begin, end, &parts[morsel]);
                       if (stats) {
                         cpu_micros.fetch_add(
                             MicrosBetween(morsel_start,
@@ -349,146 +252,105 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
                                      QueryStats* stats) const {
   TraceContext::StageScope scan_stage(options_.trace, "scan");
   const std::span<const Element> elements = relation_.elements();
-  // Belief filter: current queries require an open existence interval;
-  // as-of queries require existence at the given transaction time.
-  const auto matches = [lo, hi, as_of](const Element& e) {
-    if (as_of.has_value() ? !e.ExistsAt(*as_of) : !e.IsCurrent()) return false;
-    if (e.valid.is_event()) {
-      const TimePoint vt = e.valid.at();
-      return lo <= vt && vt < hi;
-    }
-    return e.valid.begin() < hi && lo < e.valid.end();
-  };
-
-  // Columnar dispatch: a plan that names a kernel runs it over the
-  // StampStore, provided the candidate range is contiguous in position
-  // space. The columns are position-aligned with elements() by construction;
-  // the cheap size check guards that invariant rather than trusting it.
+  const StampColumns cols = relation_.stamps().columns();
+  // Every mutation point updates both stores together, so position i of
+  // every stamp column describes elements[i]; the bounds and kernels below
+  // rely on it.
+  if (cols.size != elements.size()) {
+    Status::Internal("stamp store holds ", cols.size, " rows for ",
+                     elements.size(), " elements")
+        .Check();
+  }
   const int64_t klo = lo.micros();
   const int64_t khi = hi.micros();
   const int64_t kasof = as_of.has_value() ? as_of->micros() : kCurrentAsOf;
-  const bool columnar_ready =
-      plan.kernel != ScanKernel::kRowAtATime &&
-      relation_.stamps().size() == elements.size();
-  ScanKernel kernel_used = ScanKernel::kRowAtATime;
 
-  std::vector<uint64_t> positions;
+  // Strategy -> candidates: the contiguous position range [first, last), or
+  // the valid-index probe's position list.
+  size_t first = 0;
+  size_t last = elements.size();
+  std::vector<uint64_t> probe;
+  const bool probed = plan.strategy == ExecutionStrategy::kValidIndex;
+  ScanKernel kernel = plan.kernel;
   switch (plan.strategy) {
-    case ExecutionStrategy::kFullScan: {
-      Count(stats, elements.size());
-      if (columnar_ready) {
-        // kMonotone assumes its valid-range tests were pre-applied by
-        // MonotoneBounds; on an unbounded scan only the generic predicate
-        // is complete.
-        kernel_used = plan.kernel == ScanKernel::kMonotone
-                          ? ScanKernel::kGeneric
-                          : plan.kernel;
-        positions = CollectColumnar(kernel_used, 0, elements.size(), klo, khi,
-                                    kasof, stats);
-      } else {
-        positions = CollectMatches(
-            elements.size(), [](size_t i) { return static_cast<uint64_t>(i); },
-            matches, stats);
-      }
+    case ExecutionStrategy::kFullScan:
+      // kMonotone assumes its valid-range tests were pre-applied by
+      // MonotoneBounds; on an unbounded scan only the generic predicate is
+      // complete.
+      if (kernel == ScanKernel::kMonotone) kernel = ScanKernel::kGeneric;
       break;
-    }
 
-    case ExecutionStrategy::kValidIndex: {
+    case ExecutionStrategy::kValidIndex:
       // Overlapping() returns positions already ascending (contract of
       // IntervalIndex), so the probe result needs no per-query sort. Probe
       // results are non-contiguous, so this path stays row-at-a-time.
-      std::vector<uint64_t> candidates =
-          relation_.valid_index().Overlapping(lo, hi);
-      Count(stats, candidates.size(), 1);
-      positions = CollectMatches(
-          candidates.size(), [&](size_t i) { return candidates[i]; }, matches,
-          stats);
+      probe = relation_.valid_index().Overlapping(lo, hi);
+      kernel = ScanKernel::kRowAtATime;
       break;
-    }
 
     case ExecutionStrategy::kRollbackEquivalence:
-    case ExecutionStrategy::kTransactionWindow: {
+    case ExecutionStrategy::kTransactionWindow:
       // The declared specialization guarantees every match was stored inside
-      // the transaction-time window; scan only those positions via the
-      // append-only transaction index (its values are insertion-ordered, so
-      // candidate order is position order).
-      const AppendOnlyIndex& idx = relation_.transaction_index();
-      const size_t begin = idx.LowerBound(plan.tt_window.begin());
-      const size_t end = plan.tt_window.end().IsMax()
-                             ? idx.size()
-                             : idx.LowerBound(plan.tt_window.end());
-      const size_t count = end > begin ? end - begin : 0;
-      Count(stats, count, 1);
-      // The engine appends position j as the j-th index value, so the
-      // candidate window is the identity range [begin, end) — which is what
-      // makes the columnar kernel applicable. The endpoint check guards that
-      // invariant in O(1); any mismatch falls back to the positional walk.
-      const bool identity_range =
-          count > 0 && idx.ValueAt(begin) == begin &&
-          idx.ValueAt(end - 1) == end - 1;
-      if (columnar_ready && identity_range) {
-        kernel_used = plan.kernel;
-        positions =
-            CollectColumnar(plan.kernel, begin, end, klo, khi, kasof, stats);
-      } else {
-        positions = CollectMatches(
-            count, [&](size_t i) { return idx.ValueAt(begin + i); }, matches,
-            stats);
-      }
+      // the transaction-time window. Transaction time is monotone in
+      // position order, so the tt_start column is the append-only
+      // transaction index and the window is one binary-searched range.
+      std::tie(first, last) =
+          MonotoneBounds(cols.tt_start, cols.size,
+                         plan.tt_window.begin().micros(),
+                         plan.tt_window.end().micros());
       break;
-    }
 
-    case ExecutionStrategy::kMonotoneBinarySearch: {
-      // Valid times are non-decreasing in insertion order: binary search for
-      // the matching sub-range, then scan only existence. The search runs on
-      // the flat vt_start column when the columnar path is up (identical
-      // bounds: for events the column stores valid.at()).
-      size_t lo_pos = 0;
-      size_t hi_pos = 0;
-      if (columnar_ready) {
-        const auto bounds = MonotoneBounds(relation_.stamps().columns(), klo, khi);
-        lo_pos = bounds.first;
-        hi_pos = bounds.second;
-      } else {
-        auto vt_of = [&](size_t i) { return elements[i].valid.at(); };
-        size_t a = 0, b = elements.size();
-        while (a < b) {
-          const size_t mid = a + (b - a) / 2;
-          if (vt_of(mid) < lo) {
-            a = mid + 1;
-          } else {
-            b = mid;
-          }
-        }
-        lo_pos = a;
-        a = lo_pos;
-        b = elements.size();
-        while (a < b) {
-          const size_t mid = a + (b - a) / 2;
-          if (vt_of(mid) < hi) {
-            a = mid + 1;
-          } else {
-            b = mid;
-          }
-        }
-        hi_pos = a;
-      }
-      Count(stats, hi_pos - lo_pos, 1);
-      if (columnar_ready) {
-        kernel_used = ScanKernel::kMonotone;
-        positions = CollectColumnar(ScanKernel::kMonotone, lo_pos, hi_pos, klo,
-                                    khi, kasof, stats);
-      } else {
-        positions = CollectMatches(
-            hi_pos - lo_pos,
-            [lo_pos](size_t i) { return static_cast<uint64_t>(lo_pos + i); },
-            matches, stats);
-      }
+    case ExecutionStrategy::kMonotoneBinarySearch:
+      // Valid times are non-decreasing in insertion order: binary search the
+      // vt_start column (for events it stores valid.at()) for the matching
+      // sub-range, then scan only existence.
+      std::tie(first, last) = MonotoneBounds(cols.vt_start, cols.size, klo, khi);
+      if (kernel != ScanKernel::kRowAtATime) kernel = ScanKernel::kMonotone;
       break;
-    }
+  }
+  const size_t count = probed ? probe.size() : last - first;
+  Count(stats, count, plan.strategy == ExecutionStrategy::kFullScan ? 0 : 1);
+
+  std::vector<uint64_t> positions;
+  if (kernel != ScanKernel::kRowAtATime) {
+    positions = DriveMorsels(
+        count,
+        [&](size_t begin, size_t end, std::vector<uint64_t>* out) {
+          KernelScan(kernel, cols, first + begin, first + end, klo, khi, kasof,
+                     out);
+        },
+        stats);
+  } else {
+    // Belief filter: current queries require an open existence interval;
+    // as-of queries require existence at the given transaction time.
+    const auto matches = [lo, hi, as_of](const Element& e) {
+      if (as_of.has_value() ? !e.ExistsAt(*as_of) : !e.IsCurrent()) {
+        return false;
+      }
+      if (e.valid.is_event()) {
+        const TimePoint vt = e.valid.at();
+        return lo <= vt && vt < hi;
+      }
+      return e.valid.begin() < hi && lo < e.valid.end();
+    };
+    const auto row_walk = [&](const auto& pos_at) {
+      return DriveMorsels(
+          count,
+          [&](size_t begin, size_t end, std::vector<uint64_t>* out) {
+            for (size_t i = begin; i < end; ++i) {
+              const uint64_t pos = pos_at(i);
+              if (matches(elements[pos])) out->push_back(pos);
+            }
+          },
+          stats);
+    };
+    positions = probed ? row_walk([&](size_t i) { return probe[i]; })
+                       : row_walk([first](size_t i) {
+                           return static_cast<uint64_t>(first + i);
+                         });
   }
 
-  RecordKernel(options_.trace, kernel_used);
+  RecordKernel(options_.trace, kernel);
   if (stats) stats->results += positions.size();
   return ResultSet(elements, std::move(positions));
 }
@@ -496,45 +358,27 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
 // -- Zero-copy interface ------------------------------------------------------
 
 ResultSet QueryExecutor::CurrentSet(QueryStats* stats) const {
-  return ExistenceScan("query.current", kCurrentAsOf, stats);
+  return ExistenceScan("query.current", std::nullopt, stats);
 }
 
 ResultSet QueryExecutor::RollbackSet(TimePoint tt, QueryStats* stats) const {
-  return ExistenceScan("query.rollback", tt.micros(), stats);
+  return ExistenceScan("query.rollback", tt, stats);
 }
 
 ResultSet QueryExecutor::ExistenceScan(const char* span_name,
-                                       int64_t as_of_micros,
+                                       std::optional<TimePoint> as_of,
                                        QueryStats* stats) const {
   // Current and rollback queries share one shape: a full scan whose
-  // predicate reads only the existence columns (no valid-time test at all) —
-  // the existence_columnar kernel, with kCurrentAsOf selecting open
-  // intervals. The Element walk remains as the guard fallback.
+  // predicate reads only the existence columns (no valid-time test at all)
+  // — the existence_columnar kernel, which ignores the valid range.
   QueryScope scope(relation_, options_.trace, span_name, stats);
   scope.SetStrategyToken(
       ExecutionStrategyToToken(ExecutionStrategy::kFullScan));
   stats = scope.stats();
   StatsTimer timer(stats);
-  TraceContext::StageScope scan_stage(options_.trace, "scan");
-  const std::span<const Element> elements = relation_.elements();
-  Count(stats, elements.size());
-  std::vector<uint64_t> positions;
-  if (relation_.stamps().size() == elements.size()) {
-    RecordKernel(options_.trace, ScanKernel::kExistence);
-    positions = CollectColumnar(ScanKernel::kExistence, 0, elements.size(), 0,
-                                0, as_of_micros, stats);
-  } else {
-    RecordKernel(options_.trace, ScanKernel::kRowAtATime);
-    const TimePoint tt = TimePoint::FromMicros(as_of_micros);
-    positions = CollectMatches(
-        elements.size(), [](size_t i) { return static_cast<uint64_t>(i); },
-        [tt, as_of_micros](const Element& e) {
-          return as_of_micros == kCurrentAsOf ? e.IsCurrent() : e.ExistsAt(tt);
-        },
-        stats);
-  }
-  if (stats) stats->results += positions.size();
-  return ResultSet(elements, std::move(positions));
+  PlanChoice plan;
+  plan.kernel = ScanKernel::kExistence;
+  return ExecutePlan(plan, TimePoint::Min(), TimePoint::Max(), as_of, stats);
 }
 
 ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {

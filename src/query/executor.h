@@ -6,18 +6,21 @@
 // timeslice strategies are interchangeable: they return the same result set;
 // only the number of elements examined differs (QueryStats).
 //
-// Execution engine: every strategy reduces to a scan over a candidate range
-// (the whole element array, a transaction-time window, a monotone sub-range,
-// or an index probe's position list). Contiguous candidate ranges run a
-// branch-free columnar kernel over the relation's StampStore when the plan
-// selects one (query/kernels.h); index probes and hand-built baseline plans
-// keep the row-at-a-time Element walk. The scan runs morsel-parallel on a
-// ThreadPool when the optimizer judges the candidate count worth the
-// dispatch cost; matches are collected per-morsel and concatenated in morsel
-// order, so parallel and serial execution return byte-identical,
-// position-ordered results. Results are zero-copy ResultSets (positions into
-// relation.elements()); the std::vector<Element> signatures below are thin
-// materializing adapters kept for existing callers.
+// Execution engine: one scan path. Every strategy reduces its query to
+// candidates — a contiguous position range (the whole store, a
+// transaction-time window binary-searched on the tt_start column, or a
+// monotone vt_start sub-range) or an index probe's position list — and one
+// morsel driver scans them. Contiguous ranges run the plan's branch-free
+// columnar kernel over the relation's StampStore (query/kernels.h); index
+// probes and plans whose kernel is row_at_a_time (the drift fallback,
+// hand-built baselines) run the row predicate over Elements instead. The
+// driver runs morsel-parallel on a ThreadPool when the optimizer judges the
+// candidate count worth the dispatch cost; matches are collected per-morsel
+// and concatenated in morsel order, so parallel and serial execution return
+// byte-identical, position-ordered results. Results are zero-copy
+// ResultSets (positions into relation.elements()); the std::vector<Element>
+// signatures below are thin materializing adapters kept for existing
+// callers.
 #ifndef TEMPSPEC_QUERY_EXECUTOR_H_
 #define TEMPSPEC_QUERY_EXECUTOR_H_
 
@@ -129,32 +132,23 @@ class QueryExecutor {
                         std::optional<TimePoint> as_of,
                         QueryStats* stats) const;
 
-  /// \brief Shared core of CurrentSet/RollbackSet: full scan with an
-  /// existence-only predicate (the existence_columnar kernel;
-  /// kCurrentAsOf selects current belief).
-  ResultSet ExistenceScan(const char* span_name, int64_t as_of_micros,
+  /// \brief Shared core of CurrentSet/RollbackSet: ExecutePlan's full scan
+  /// with the existence-only predicate (the existence_columnar kernel); an
+  /// empty `as_of` selects current belief.
+  ResultSet ExistenceScan(const char* span_name, std::optional<TimePoint> as_of,
                           QueryStats* stats) const;
 
-  /// \brief Collects matching positions from `count` candidates, where
-  /// candidate `i` is element position `pos_at(i)` and matches when
-  /// `pred(element)`. Morsel-parallel above the optimizer's cutoff;
-  /// output is candidate-ordered either way.
-  template <typename PosAt, typename Pred>
-  std::vector<uint64_t> CollectMatches(size_t count, const PosAt& pos_at,
-                                       const Pred& pred,
-                                       QueryStats* stats) const;
-
-  /// \brief Columnar counterpart of CollectMatches for *contiguous*
-  /// candidate ranges: runs `kernel` (query/kernels.h) over positions
-  /// [first, last) of the relation's StampStore, serially or per-morsel
-  /// under the same parallel policy. Each morsel's selection bitmap drains
-  /// into a private buffer concatenated in morsel order, so results are
-  /// byte-identical to the serial kernel and to the row-at-a-time walk.
-  /// `as_of_micros` is kCurrentAsOf for current belief.
-  std::vector<uint64_t> CollectColumnar(ScanKernel kernel, size_t first,
-                                        size_t last, int64_t lo_micros,
-                                        int64_t hi_micros, int64_t as_of_micros,
-                                        QueryStats* stats) const;
+  /// \brief The one scan driver: runs `scan(begin, end, out)` over the
+  /// candidate indexes [0, count), where `scan` appends the matching
+  /// positions of candidates [begin, end) to `*out` in candidate order (a
+  /// columnar kernel over a contiguous range, or the row predicate over
+  /// Elements). Serial below the optimizer's parallel cutoff, otherwise
+  /// morsel-parallel with per-morsel buffers concatenated in morsel order,
+  /// so the output is byte-identical either way. Polls cancellation once
+  /// per morsel when a trace is attached.
+  template <typename ScanRange>
+  std::vector<uint64_t> DriveMorsels(size_t count, const ScanRange& scan,
+                                     QueryStats* stats) const;
 
   const TemporalRelation& relation_;
   Optimizer optimizer_;

@@ -41,13 +41,13 @@ void ScanBlocks(size_t begin, size_t end, const Pred& pred,
 
 }  // namespace
 
-std::pair<size_t, size_t> MonotoneBounds(const StampColumns& cols, int64_t lo,
-                                         int64_t hi) {
-  const int64_t* first = cols.vt_start;
-  const int64_t* last = cols.vt_start + cols.size;
-  const size_t a = static_cast<size_t>(std::lower_bound(first, last, lo) - first);
+std::pair<size_t, size_t> MonotoneBounds(const int64_t* column, size_t size,
+                                         int64_t lo, int64_t hi) {
+  const int64_t* last = column + size;
+  const size_t a =
+      static_cast<size_t>(std::lower_bound(column, last, lo) - column);
   const size_t b = static_cast<size_t>(
-      std::lower_bound(cols.vt_start + a, last, hi) - first);
+      std::lower_bound(column + a, last, hi) - column);
   return {a, b};
 }
 

@@ -47,12 +47,14 @@ namespace tempspec {
 /// `kCurrentAsOf < tt_end` holds exactly for open existence intervals.
 inline constexpr int64_t kCurrentAsOf = INT64_MAX - 1;
 
-/// \brief Binary-searches the sorted vt_start column for the candidate
-/// subrange [first, last) whose valid times fall in [lo, hi). Precondition:
-/// the relation declared a non-decreasing/sequential ordering (the column is
-/// sorted in position order).
-std::pair<size_t, size_t> MonotoneBounds(const StampColumns& cols, int64_t lo,
-                                         int64_t hi);
+/// \brief Binary-searches a stamp column that is non-decreasing in position
+/// order for the candidate subrange [first, last) of its `size` values that
+/// fall in [lo, hi) (empty when hi <= lo). Two columns qualify: tt_start
+/// always (transaction time is monotone, so the column is the relation's
+/// append-only transaction-time index), and vt_start when the relation
+/// declared a non-decreasing/sequential ordering.
+std::pair<size_t, size_t> MonotoneBounds(const int64_t* column, size_t size,
+                                         int64_t lo, int64_t hi);
 
 /// \brief Runs `kernel` over the contiguous candidate positions
 /// [begin, end) of `cols`, appending matching positions to `out` in

@@ -18,9 +18,9 @@ class Optimizer {
   /// \brief `drifted`, when supplied, is consulted once per plan: a true
   /// return means the drift monitor reports DRIFTED (declared specialization
   /// with observed violations), and the planner ignores the declaration —
-  /// general strategy, generic kernel — rather than trust a band the
-  /// workload has escaped. The executor wires this to
-  /// TemporalRelation::IsDrifted().
+  /// the general relation's plan: valid-index probe, row_at_a_time walk —
+  /// rather than trust a band the workload has escaped. The executor wires
+  /// this to TemporalRelation::IsDrifted().
   Optimizer(const SpecializationSet& specs, const Schema& schema,
             std::function<bool()> drifted = nullptr);
 

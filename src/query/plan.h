@@ -49,7 +49,9 @@ enum class ScanKernel : uint8_t {
   /// the only option for non-contiguous candidates such as index probes).
   kRowAtATime,
   /// Generic two-half-plane columnar predicate: both vt columns plus the
-  /// existence column. Correct for every relation; the fallback under drift.
+  /// existence column. Correct for every relation; planned for interval
+  /// relations with a fixed band (a DRIFTED relation plans the valid-index
+  /// probe with kRowAtATime instead).
   kGeneric,
   /// Degenerate pane (vt = tt): inside the granule-aligned tt window a
   /// single vt column decides membership.

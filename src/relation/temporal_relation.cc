@@ -81,9 +81,18 @@ Status TemporalRelation::ApplyRecoveredEntries() {
 }
 
 void TemporalRelation::IndexElement(const Element& e, size_t position) {
-  // Transaction time is monotone by construction, so the tt index is always
-  // append-only regardless of specialization.
-  tt_index_.Append(e.tt_begin, position).Check();
+  // Transaction time is monotone by construction, so the tt_start column is
+  // an append-only index regardless of specialization; an out-of-order
+  // stamp would silently break its binary search.
+  const StampColumns cols = stamps_.columns();
+  if (cols.size > 0) {
+    const TimePoint last = TimePoint::FromMicros(cols.tt_start[cols.size - 1]);
+    if (e.tt_begin < last) {
+      Status::InvalidArgument("transaction time must be non-decreasing: ",
+                              e.tt_begin.ToString(), " after ", last.ToString())
+          .Check();
+    }
+  }
   // The columnar stamp store is position-aligned with elements_: every
   // caller indexes exactly the element it is about to append (or, on vacuum
   // rebuild, position i of the compacted array), so appending here keeps the
@@ -342,7 +351,6 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
     by_surrogate_.clear();
     partitions_.clear();
     object_order_.clear();
-    tt_index_ = AppendOnlyIndex();
     valid_index_ = IntervalIndex();
     stamps_.Clear();
     for (size_t i = 0; i < elements_.size(); ++i) {

@@ -31,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/append_index.h"
 #include "index/interval_index.h"
 #include "model/element.h"
 #include "model/schema.h"
@@ -138,10 +137,6 @@ class TemporalRelation {
 
   // -- Indexes ---------------------------------------------------------------
 
-  /// \brief Positions of elements by insertion transaction time (always
-  /// maintainable as append-only: transaction time is monotone).
-  const AppendOnlyIndex& transaction_index() const { return tt_index_; }
-
   /// \brief Interval index over valid time (events indexed as unit-chronon
   /// intervals).
   const IntervalIndex& valid_index() const { return valid_index_; }
@@ -149,7 +144,9 @@ class TemporalRelation {
   /// \brief Columnar copy of every element's stamps, position-aligned with
   /// elements(): the input of the vectorized scan kernels (query/kernels.h).
   /// Maintained through every mutation and rebuilt on recovery and vacuum
-  /// like the other derived structures.
+  /// like the other derived structures. Transaction time is monotone, so the
+  /// tt_start column is non-decreasing: it doubles as the append-only
+  /// transaction-time index (binary-searched, Section 3.1).
   const StampStore& stamps() const { return stamps_; }
 
   // -- Integrity ------------------------------------------------------------
@@ -219,7 +216,6 @@ class TemporalRelation {
   std::unordered_map<ElementSurrogate, size_t> by_surrogate_;
   std::unordered_map<ObjectSurrogate, std::vector<size_t>> partitions_;
   std::vector<ObjectSurrogate> object_order_;
-  AppendOnlyIndex tt_index_;
   IntervalIndex valid_index_;
   StampStore stamps_;
 };

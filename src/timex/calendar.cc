@@ -128,7 +128,21 @@ Result<TimePoint> ParseTimePoint(const std::string& text) {
     return Status::InvalidArgument("time of day out of range in '", text, "'");
   }
   c.micro = micro;
-  return FromCivil(c);
+  // FromCivil's days * kMicrosPerDay overflows int64 beyond roughly
+  // +/-292 000 years; such dates (and the +/-inf sentinels themselves) are
+  // not representable time points.
+  int64_t micros = 0;
+  const int64_t time_of_day = c.hour * kMicrosPerHour +
+                              c.minute * kMicrosPerMinute +
+                              c.second * kMicrosPerSecond + c.micro;
+  if (__builtin_mul_overflow(DaysFromCivil(c.year, c.month, c.day),
+                             kMicrosPerDay, &micros) ||
+      __builtin_add_overflow(micros, time_of_day, &micros) ||
+      micros <= TimePoint::Min().micros() ||
+      micros >= TimePoint::Max().micros()) {
+    return Status::InvalidArgument("year out of range in '", text, "'");
+  }
+  return TimePoint::FromMicros(micros);
 }
 
 std::string FormatTimePoint(TimePoint tp) {

@@ -204,6 +204,9 @@ TEST_F(QueryLangTest, Errors) {
   EXPECT_FALSE(ExecuteQuery(catalog_, "FROBNICATE samples").ok());
   EXPECT_FALSE(ExecuteQuery(catalog_, "TIMESLICE samples AT bare").ok());
   EXPECT_FALSE(ExecuteQuery(catalog_, "TIMESLICE samples AT '1992-13-99'").ok());
+  EXPECT_TRUE(ExecuteQuery(catalog_, "TIMESLICE samples AT '300000-01-01'")
+                  .status()
+                  .IsInvalidArgument());
   EXPECT_FALSE(
       ExecuteQuery(catalog_, "CURRENT samples trailing garbage").ok());
 }

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "query/executor.h"
@@ -71,12 +74,15 @@ std::unique_ptr<TemporalRelation> BuildDeletionHeavyIntervalRelation(
   return rel;
 }
 
-std::vector<uint64_t> BruteTimeslice(const TemporalRelation& rel, TimePoint vt) {
+// Current facts valid at `vt` that were inserted inside `tt_window`.
+std::vector<uint64_t> BruteTimeslice(const TemporalRelation& rel, TimePoint vt,
+                                     TimeInterval tt_window = TimeInterval::All()) {
   std::vector<uint64_t> out;
   const auto elements = rel.elements();
   for (size_t i = 0; i < elements.size(); ++i) {
     const Element& e = elements[i];
     if (!e.IsCurrent()) continue;
+    if (e.tt_begin < tt_window.begin() || e.tt_begin >= tt_window.end()) continue;
     if (e.valid.begin() <= vt && vt < e.valid.end()) out.push_back(i);
   }
   return out;
@@ -112,6 +118,22 @@ TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
   for (const Element& e : rel->elements()) deleted += e.IsCurrent() ? 0 : 1;
   ASSERT_GT(deleted, 100u) << "workload produced too few deletions to test";
 
+  // Modify stamps its delete and its insert with one transaction time: the
+  // replaced element's tt_end equals its successor's tt_start. Windows that
+  // start or end exactly at a still-current successor's tt, queried at its
+  // valid time, pin the inclusive/exclusive transaction-window bounds.
+  std::set<int64_t> closed_tts;
+  for (const Element& e : rel->elements()) {
+    if (!e.IsCurrent()) closed_tts.insert(e.tt_end.micros());
+  }
+  std::vector<const Element*> successors;
+  for (const Element& e : rel->elements()) {
+    if (e.IsCurrent() && closed_tts.count(e.tt_begin.micros()) > 0) {
+      successors.push_back(&e);
+    }
+  }
+  ASSERT_GT(successors.size(), 32u) << "workload produced too few modifications";
+
   ThreadPool pool(4);
   const QueryExecutor serial(*rel, ExecutorOptions{.pool = nullptr});
   const QueryExecutor tiny(*rel, ExecutorOptions{.pool = &pool,
@@ -123,26 +145,55 @@ TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
   for (int trial = 0; trial < 32; ++trial) {
     const Element& probe = elements[static_cast<size_t>(
         rng.Uniform(0, static_cast<int64_t>(elements.size()) - 1))];
+    const Element& successor =
+        *successors[static_cast<size_t>(trial) * successors.size() / 32];
+    const TimePoint shared_tt = successor.tt_begin;
+    PlanChoice from_shared{ExecutionStrategy::kTransactionWindow,
+                           TimeInterval(shared_tt, TimePoint::Max()), ""};
+    PlanChoice until_shared{ExecutionStrategy::kTransactionWindow,
+                            TimeInterval(TimePoint::Min(), shared_tt), ""};
+    PlanChoice from_shared_generic = from_shared;
+    from_shared_generic.kernel = ScanKernel::kGeneric;
+    PlanChoice until_shared_generic = until_shared;
+    until_shared_generic.kernel = ScanKernel::kGeneric;
     // Probe interval endpoints exactly: begin is inclusive, end exclusive.
     const TimePoint points[] = {
         probe.valid.begin(), probe.valid.end(),
-        probe.valid.begin() + Duration::Seconds(rng.Uniform(0, 300))};
+        probe.valid.begin() + Duration::Seconds(rng.Uniform(0, 300)),
+        successor.valid.begin()};
     for (const TimePoint vt : points) {
       SCOPED_TRACE("vt=" + vt.ToString());
       const std::vector<uint64_t> brute = BruteTimeslice(*rel, vt);
-      const std::vector<PlanChoice> plans = {
-          PlanChoice{ExecutionStrategy::kFullScan, TimeInterval::All(), ""},
-          PlanChoice{ExecutionStrategy::kValidIndex, TimeInterval::All(), ""},
-          serial.optimizer().PlanTimeslice(vt),
-      };
-      for (const PlanChoice& plan : plans) {
-        const char* what = ExecutionStrategyToString(plan.strategy);
+      const std::vector<uint64_t> brute_from =
+          BruteTimeslice(*rel, vt, from_shared.tt_window);
+      const std::vector<uint64_t> brute_until =
+          BruteTimeslice(*rel, vt, until_shared.tt_window);
+      const std::vector<std::pair<PlanChoice, const std::vector<uint64_t>*>>
+          plans = {
+              {PlanChoice{ExecutionStrategy::kFullScan, TimeInterval::All(), ""},
+               &brute},
+              {PlanChoice{ExecutionStrategy::kValidIndex, TimeInterval::All(),
+                          ""},
+               &brute},
+              {serial.optimizer().PlanTimeslice(vt), &brute},
+              {from_shared, &brute_from},
+              {from_shared_generic, &brute_from},
+              {until_shared, &brute_until},
+              {until_shared_generic, &brute_until},
+          };
+      for (const auto& [plan, expected] : plans) {
+        const std::string what =
+            std::string(ExecutionStrategyToString(plan.strategy)) + " tt " +
+            plan.tt_window.ToString() + " kernel " +
+            ScanKernelToToken(plan.kernel);
         const ResultSet s = serial.TimesliceSetWith(plan, vt);
         const ResultSet p = tiny.TimesliceSetWith(plan, vt);
-        ASSERT_EQ(s.positions(), brute) << what;
-        ASSERT_EQ(p.positions(), brute) << what;
-        ExpectSetMatchesAdapter(serial, s, serial.TimesliceWith(plan, vt), what);
-        ExpectSetMatchesAdapter(tiny, p, tiny.TimesliceWith(plan, vt), what);
+        ASSERT_EQ(s.positions(), *expected) << what;
+        ASSERT_EQ(p.positions(), *expected) << what;
+        ExpectSetMatchesAdapter(serial, s, serial.TimesliceWith(plan, vt),
+                                what.c_str());
+        ExpectSetMatchesAdapter(tiny, p, tiny.TimesliceWith(plan, vt),
+                                what.c_str());
       }
       // Planner-chosen paths end to end.
       ASSERT_EQ(serial.TimesliceSet(vt).positions(), brute);

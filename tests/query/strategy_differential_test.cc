@@ -212,7 +212,9 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
   // (b) the generic columnar kernel on a full scan, and (c) the optimizer's
   // plan (pane kernel + narrowed candidates). All three must return
   // byte-identical position sets — including the ~1/8 logically deleted
-  // rows, which exercise the existence half of each predicate. Current and
+  // rows, which exercise the existence half of each predicate. The planned
+  // strategy also runs forced onto the row walk over the same candidates,
+  // covering both bodies of the executor's one morsel driver. Current and
   // rollback views check the existence kernel the same way.
   const PlanChoice row_plan{ExecutionStrategy::kFullScan, TimeInterval::All(),
                             ""};
@@ -242,13 +244,22 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
       const ResultSet generic =
           exec.ValidRangeSetWith(generic_plan, lo, hi, &ignored);
       const PlanChoice planned = exec.optimizer().PlanValidRange(lo, hi);
+      QueryStats kernel_stats;
       const ResultSet specialized =
-          exec.ValidRangeSetWith(planned, lo, hi, &ignored);
-      ExpectSameResults(generic, row, "generic_columnar vs row walk");
-      ExpectSameResults(
-          specialized, row,
+          exec.ValidRangeSetWith(planned, lo, hi, &kernel_stats);
+      PlanChoice planned_row = planned;
+      planned_row.kernel = ScanKernel::kRowAtATime;
+      QueryStats row_stats;
+      const ResultSet planned_walk =
+          exec.ValidRangeSetWith(planned_row, lo, hi, &row_stats);
+      const std::string what =
           std::string("kernel ") + ScanKernelToToken(planned.kernel) +
-              " under " + ExecutionStrategyToString(planned.strategy));
+          " under " + ExecutionStrategyToString(planned.strategy);
+      ExpectSameResults(generic, row, "generic_columnar vs row walk");
+      ExpectSameResults(specialized, row, what);
+      ExpectSameResults(planned_walk, specialized, what + " vs its row walk");
+      EXPECT_EQ(row_stats.elements_examined, kernel_stats.elements_examined)
+          << what;
     }
 
     // Existence kernel: CurrentSet/RollbackSet run existence_columnar; the

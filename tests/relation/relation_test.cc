@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "testing.h"
@@ -167,9 +168,17 @@ TEST(RelationTest, TransactionIndexIsAppendOnly) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(rel->InsertEvent(1, T(i), Tuple{int64_t{1}, 0.0}).status());
   }
-  EXPECT_EQ(rel->transaction_index().size(), 50u);
+  // The tt_start column is the transaction-time index: one non-decreasing
+  // key per element.
+  const StampColumns cols = rel->stamps().columns();
+  ASSERT_EQ(cols.size, 50u);
+  EXPECT_TRUE(std::is_sorted(cols.tt_start, cols.tt_start + cols.size));
   // tt range [1000, 1090] covers the first 10 inserts.
-  EXPECT_EQ(rel->transaction_index().Range(T(1000), T(1090)).size(), 10u);
+  const int64_t* first =
+      std::lower_bound(cols.tt_start, cols.tt_start + cols.size, T(1000).micros());
+  const int64_t* last =
+      std::upper_bound(cols.tt_start, cols.tt_start + cols.size, T(1090).micros());
+  EXPECT_EQ(last - first, 10);
 }
 
 TEST(RelationTest, ValidIndexAnswersStabs) {
@@ -301,7 +310,10 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
   EXPECT_EQ(rel->StateAt(T(1045)).size(), 1u);
   EXPECT_EQ(rel->CurrentState().size(), 1u);
   // Indexes were rebuilt consistently.
-  EXPECT_EQ(rel->transaction_index().size(), 2u);
+  const StampColumns cols = rel->stamps().columns();
+  ASSERT_EQ(cols.size, 2u);
+  EXPECT_EQ(cols.tt_start[0], T(1010).micros());  // b
+  EXPECT_EQ(cols.tt_start[1], T(1020).micros());  // c
   EXPECT_EQ(rel->valid_index().Stab(T(905)).size(), 1u);
   EXPECT_EQ(rel->valid_index().Stab(T(900)).size(), 0u);
   // A second vacuum with nothing to do is a no-op.

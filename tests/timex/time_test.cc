@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "testing.h"
+#include "timex/calendar.h"
 #include "timex/clock.h"
 #include "timex/duration.h"
 #include "timex/granularity.h"
@@ -27,6 +28,17 @@ TEST(TimePointTest, Arithmetic) {
   EXPECT_EQ(T(4) + Duration::Seconds(6), T(10));
   EXPECT_EQ(T(10) - Duration::Seconds(6), T(4));
   EXPECT_EQ((T(10) - T(4)).micros(), 6'000'000);
+}
+
+TEST(TimePointTest, ParseRejectsYearsOutsideTheRepresentableRange) {
+  // int64 microseconds span roughly +/-292 000 years around the epoch; a
+  // parsed year beyond that must not wrap around into some other instant.
+  EXPECT_TRUE(ParseTimePoint("300000-01-01").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseTimePoint("-300000-01-01").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseTimePoint("2147483647-12-31").status().IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(TimePoint far, ParseTimePoint("200000-01-01"));
+  EXPECT_LT(Civil(1992, 1, 1), far);
+  EXPECT_LT(far, TimePoint::Max());
 }
 
 TEST(DurationTest, Factories) {
