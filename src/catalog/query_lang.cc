@@ -420,6 +420,16 @@ void ObserveLabeledLatency(const std::string& relation, std::string kind,
 }
 #endif  // TEMPSPEC_METRICS
 
+/// The optimizer's choice as a plan line: strategy, kernel, rationale.
+std::string DescribePlan(const PlanChoice& plan) {
+  return std::string(ExecutionStrategyToString(plan.strategy)) + " [kernel " +
+         ScanKernelToToken(plan.kernel) + "] — " + plan.rationale;
+}
+
+/// The transaction-time prefix an as-of read is cut to: the executor scans
+/// only rows stored by `tt`.
+std::string AsOfBound(TimePoint tt) { return "tt_start <= " + tt.ToString(); }
+
 }  // namespace
 
 Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
@@ -527,9 +537,12 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     out.relation = name;
     QueryExecutor exec(*rel, exec_options);
     if (!out.explain_only) out.elements = exec.Rollback(tt, &out.stats);
-    out.plan_description = rel->snapshots() != nullptr
-                               ? "snapshot + differential replay"
-                               : "existence-interval scan";
+    out.plan_description =
+        rel->snapshots() != nullptr
+            ? "snapshot + differential replay"
+            : "transaction-time prefix scan [kernel " +
+                  std::string(ScanKernelToToken(ScanKernel::kExistence)) +
+                  "] — " + AsOfBound(tt);
   } else if (verb == "TIMESLICE") {
     TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
     TS_RETURN_NOT_OK(cur.ExpectWord("AT"));
@@ -537,21 +550,17 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
     out.relation = name;
     QueryExecutor exec(*rel, exec_options);
+    const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
+    out.plan_description = DescribePlan(plan);
     if (cur.TryWord("AS")) {
       TS_RETURN_NOT_OK(cur.ExpectWord("OF"));
       TS_ASSIGN_OR_RETURN(TimePoint tt, cur.TimeLiteral());
       if (!out.explain_only) {
-        out.elements = exec.TimesliceAsOf(vt, tt, &out.stats);
+        out.elements = exec.TimesliceAsOfWith(plan, vt, tt, &out.stats);
       }
-      out.plan_description = "bitemporal scan (valid at vt, believed at tt)";
-    } else {
-      const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
-      if (!out.explain_only) {
-        out.elements = exec.TimesliceWith(plan, vt, &out.stats);
-      }
-      out.plan_description = std::string(ExecutionStrategyToString(plan.strategy)) +
-                             " [kernel " + ScanKernelToToken(plan.kernel) +
-                             "] — " + plan.rationale;
+      out.plan_description += "; as of " + tt.ToString() + ", " + AsOfBound(tt);
+    } else if (!out.explain_only) {
+      out.elements = exec.TimesliceWith(plan, vt, &out.stats);
     }
   } else if (verb == "RANGE") {
     TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
@@ -569,9 +578,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     if (!out.explain_only) {
       out.elements = exec.ValidRangeWith(plan, lo, hi, &out.stats);
     }
-    out.plan_description = std::string(ExecutionStrategyToString(plan.strategy)) +
-                           " [kernel " + ScanKernelToToken(plan.kernel) +
-                           "] — " + plan.rationale;
+    out.plan_description = DescribePlan(plan);
   } else {
     return Status::InvalidArgument(
         "unknown query verb '", verb,

@@ -308,6 +308,20 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
       if (kernel != ScanKernel::kRowAtATime) kernel = ScanKernel::kMonotone;
       break;
   }
+  if (as_of.has_value()) {
+    // Transaction time is append-only, so nothing stored after `as_of` can
+    // exist at it: intersect the candidates with the believed prefix. The
+    // existence predicate below still runs unchanged; the prefix only drops
+    // rows it would reject.
+    const size_t prefix = relation_.stamps().StoredBy(*as_of);
+    if (probed) {
+      probe.erase(std::lower_bound(probe.begin(), probe.end(), prefix),
+                  probe.end());
+    } else {
+      last = std::min(last, prefix);
+      first = std::min(first, last);
+    }
+  }
   const size_t count = probed ? probe.size() : last - first;
   Count(stats, count, plan.strategy == ExecutionStrategy::kFullScan ? 0 : 1);
 
@@ -368,12 +382,16 @@ ResultSet QueryExecutor::RollbackSet(TimePoint tt, QueryStats* stats) const {
 ResultSet QueryExecutor::ExistenceScan(const char* span_name,
                                        std::optional<TimePoint> as_of,
                                        QueryStats* stats) const {
-  // Current and rollback queries share one shape: a full scan whose
-  // predicate reads only the existence columns (no valid-time test at all)
-  // — the existence_columnar kernel, which ignores the valid range.
+  // Current and rollback queries share one shape: a scan whose predicate
+  // reads only the existence columns (no valid-time test at all) — the
+  // existence_columnar kernel, which ignores the valid range. A current
+  // query scans every row; a rollback scans only the transaction-time
+  // prefix stored by its instant (ExecutePlan's as-of bound).
   QueryScope scope(relation_, options_.trace, span_name, stats);
   scope.SetStrategyToken(
-      ExecutionStrategyToToken(ExecutionStrategy::kFullScan));
+      as_of.has_value()
+          ? "transaction_prefix"
+          : ExecutionStrategyToToken(ExecutionStrategy::kFullScan));
   stats = scope.stats();
   StatsTimer timer(stats);
   PlanChoice plan;
@@ -430,6 +448,12 @@ ResultSet QueryExecutor::TimesliceAsOfSet(TimePoint vt, TimePoint tt,
     TraceContext::StageScope plan_stage(options_.trace, "plan");
     plan = optimizer_.PlanTimeslice(vt);
   }
+  return TimesliceAsOfSetWith(plan, vt, tt, stats);
+}
+
+ResultSet QueryExecutor::TimesliceAsOfSetWith(const PlanChoice& plan,
+                                              TimePoint vt, TimePoint tt,
+                                              QueryStats* stats) const {
   QueryScope scope(relation_, options_.trace, "query.timeslice_as_of", stats);
   scope.SetPlan(plan);
   stats = scope.stats();
@@ -488,6 +512,12 @@ std::vector<Element> QueryExecutor::ValidRangeWith(const PlanChoice& plan,
 std::vector<Element> QueryExecutor::TimesliceAsOf(TimePoint vt, TimePoint tt,
                                                   QueryStats* stats) const {
   return TimesliceAsOfSet(vt, tt, stats).Materialize(options_.pool);
+}
+
+std::vector<Element> QueryExecutor::TimesliceAsOfWith(const PlanChoice& plan,
+                                                      TimePoint vt, TimePoint tt,
+                                                      QueryStats* stats) const {
+  return TimesliceAsOfSetWith(plan, vt, tt, stats).Materialize(options_.pool);
 }
 
 }  // namespace tempspec

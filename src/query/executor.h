@@ -10,7 +10,10 @@
 // candidates — a contiguous position range (the whole store, a
 // transaction-time window binary-searched on the tt_start column, or a
 // monotone vt_start sub-range) or an index probe's position list — and one
-// morsel driver scans them. Contiguous ranges run the plan's branch-free
+// morsel driver scans them. As-of queries (rollback, timeslice AS OF) then
+// cut those candidates to the transaction-time prefix stored by their
+// instant: transaction time is append-only, so a row stored later cannot
+// exist at it. Contiguous ranges run the plan's branch-free
 // columnar kernel over the relation's StampStore (query/kernels.h); index
 // probes and plans whose kernel is row_at_a_time (the drift fallback,
 // hand-built baselines) run the row predicate over Elements instead. The
@@ -81,6 +84,7 @@ class QueryExecutor {
   /// \brief Rollback query as a position view: elements whose existence
   /// interval contains `tt`, as finally stored (a logically deleted element
   /// appears with its closed tt_end — positions cannot re-open stamps).
+  /// Scans only the transaction-time prefix stored by `tt`.
   ResultSet RollbackSet(TimePoint tt, QueryStats* stats = nullptr) const;
 
   /// \brief Historical (timeslice) query: current-belief facts valid at
@@ -100,9 +104,13 @@ class QueryExecutor {
   /// \brief Bitemporal query: facts valid at `vt` as believed at transaction
   /// time `tt`. Planned like a timeslice (the optimizer's strategies bound
   /// *insertion* times, which deletion never moves), with the existence
-  /// filter ExistsAt(tt) applied on top of the chosen strategy.
+  /// filter ExistsAt(tt) applied on top of the chosen strategy, whose
+  /// candidates are cut to the prefix stored by `tt`.
   ResultSet TimesliceAsOfSet(TimePoint vt, TimePoint tt,
                              QueryStats* stats = nullptr) const;
+  ResultSet TimesliceAsOfSetWith(const PlanChoice& plan, TimePoint vt,
+                                 TimePoint tt,
+                                 QueryStats* stats = nullptr) const;
 
   // -- Materializing adapters (pre-ResultSet signatures) ---------------------
 
@@ -124,17 +132,24 @@ class QueryExecutor {
                                       QueryStats* stats = nullptr) const;
   std::vector<Element> TimesliceAsOf(TimePoint vt, TimePoint tt,
                                      QueryStats* stats = nullptr) const;
+  std::vector<Element> TimesliceAsOfWith(const PlanChoice& plan, TimePoint vt,
+                                         TimePoint tt,
+                                         QueryStats* stats = nullptr) const;
 
  private:
   /// \brief Shared core: executes `plan` over the valid range [lo, hi),
   /// filtering by current belief (as_of empty) or by existence at `*as_of`.
+  /// An as-of query first cuts the plan's candidates to the positions
+  /// stored by `*as_of` (StampStore::StoredBy): transaction time is
+  /// append-only, so no later row can exist then.
   ResultSet ExecutePlan(const PlanChoice& plan, TimePoint lo, TimePoint hi,
                         std::optional<TimePoint> as_of,
                         QueryStats* stats) const;
 
   /// \brief Shared core of CurrentSet/RollbackSet: ExecutePlan's full scan
   /// with the existence-only predicate (the existence_columnar kernel); an
-  /// empty `as_of` selects current belief.
+  /// empty `as_of` selects current belief, a set one bounds the scan to the
+  /// transaction-time prefix (strategy token "transaction_prefix").
   ResultSet ExistenceScan(const char* span_name, std::optional<TimePoint> as_of,
                           QueryStats* stats) const;
 

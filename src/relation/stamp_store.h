@@ -19,6 +19,7 @@
 #ifndef TEMPSPEC_RELATION_STAMP_STORE_H_
 #define TEMPSPEC_RELATION_STAMP_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -72,6 +73,18 @@ class StampStore {
   }
 
   size_t size() const { return tt_start_.size(); }
+
+  /// \brief Length of the transaction-time prefix stored by `tt`: positions
+  /// [0, n) are exactly the elements with tt_start <= tt. Transaction time
+  /// is append-only (the relation aborts on an out-of-order stamp), so no
+  /// element past the prefix can exist at `tt` — an as-of read never needs
+  /// it. An upper bound rather than a lower bound of `tt + 1`, so
+  /// TimePoint::Max() needs no overflow guard.
+  size_t StoredBy(TimePoint tt) const {
+    return static_cast<size_t>(
+        std::upper_bound(tt_start_.begin(), tt_start_.end(), tt.micros()) -
+        tt_start_.begin());
+  }
 
   StampColumns columns() const {
     StampColumns c;

@@ -258,9 +258,13 @@ std::vector<Element> TemporalRelation::StateAt(TimePoint tt) const {
 std::vector<Element> TemporalRelation::StateAt(TimePoint tt,
                                                ThreadPool* pool) const {
   if (snapshots_) return snapshots_->StateAt(tt, pool);
+  // Elements sit in transaction-time order (IndexElement enforces it, and
+  // vacuum compaction keeps the survivors' order), so only the prefix
+  // stored by `tt` can exist at it.
+  const size_t stored = stamps_.StoredBy(tt);
   std::vector<Element> out;
-  for (const Element& e : elements_) {
-    if (e.ExistsAt(tt)) out.push_back(e);
+  for (size_t i = 0; i < stored; ++i) {
+    if (elements_[i].ExistsAt(tt)) out.push_back(elements_[i]);
   }
   return out;
 }

@@ -119,6 +119,7 @@ class TemporalRelation {
   /// \brief The historical state at transaction time tt (rollback
   /// primitive); uses the snapshot cache when enabled. With a pool, the
   /// snapshot path copies elements morsel-parallel (identical results).
+  /// Without the cache it walks only the elements stored by `tt`.
   std::vector<Element> StateAt(TimePoint tt) const;
   std::vector<Element> StateAt(TimePoint tt, ThreadPool* pool) const;
 

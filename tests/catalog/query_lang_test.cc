@@ -64,6 +64,31 @@ TEST_F(QueryLangTest, RollbackQuery) {
       QueryOutput out,
       ExecuteQuery(catalog_, "ROLLBACK samples TO '1992-02-03 10:20:00'"));
   EXPECT_EQ(out.elements.size(), 3u);
+  EXPECT_NE(out.plan_description.find("tt_start <= 1992-02-03 10:20:00"),
+            std::string::npos)
+      << out.plan_description;
+}
+
+TEST_F(QueryLangTest, RollbackExaminesOnlyRowsStoredByItsInstant) {
+  // 12 rows are stored, three of them by 10:20: the reply's "k examined"
+  // (the figure a client sees) counts the stored prefix, not the relation.
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput out,
+      ExecuteQuery(catalog_, "ROLLBACK samples TO '1992-02-03 10:20:00'"));
+  const std::string text = out.ToString();
+  const size_t end = text.rfind(" examined");
+  ASSERT_NE(end, std::string::npos) << text;
+  const size_t begin = text.rfind(' ', end - 1) + 1;
+  const uint64_t examined = std::stoull(text.substr(begin, end - begin));
+  EXPECT_EQ(examined, out.stats.elements_examined);
+  EXPECT_LE(examined, 3u) << text;
+
+  // Before the first row was stored nothing can exist, and nothing is read.
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput early,
+      ExecuteQuery(catalog_, "ROLLBACK samples TO '1992-02-03 09:00:00'"));
+  EXPECT_TRUE(early.elements.empty());
+  EXPECT_EQ(early.stats.elements_examined, 0u);
 }
 
 TEST_F(QueryLangTest, RangeQuery) {
@@ -86,6 +111,16 @@ TEST_F(QueryLangTest, BitemporalAsOf) {
       ExecuteQuery(catalog_, "TIMESLICE samples AT '1992-02-03 10:00:00' AS OF "
                              "'1992-02-03 10:05:00'"));
   EXPECT_EQ(then.elements.size(), 1u);
+  // The plan line names the optimizer's choice and the as-of bound.
+  EXPECT_NE(then.plan_description.find("rollback equivalence"),
+            std::string::npos)
+      << then.plan_description;
+  EXPECT_NE(then.plan_description.find("[kernel degenerate_columnar]"),
+            std::string::npos)
+      << then.plan_description;
+  EXPECT_NE(then.plan_description.find("tt_start <= 1992-02-03 10:05:00"),
+            std::string::npos)
+      << then.plan_description;
   ASSERT_OK_AND_ASSIGN(
       QueryOutput now,
       ExecuteQuery(catalog_, "TIMESLICE samples AT '1992-02-03 10:00:00' AS OF "

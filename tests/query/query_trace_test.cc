@@ -62,6 +62,7 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
     exec.CurrentSet();
     ExpectPopulatedSpan(trace, "query.current", 1);
+    EXPECT_EQ(trace.attr("strategy"), "full_scan");
   }
   {
     TraceContext trace;
@@ -69,6 +70,11 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
     exec.RollbackSet(tt);
     ExpectPopulatedSpan(trace, "query.rollback", 1);
+    // A rollback scans only the rows stored by tt.
+    uint64_t stored = 0;
+    for (const Element& e : scenario_->elements()) stored += e.tt_begin <= tt;
+    EXPECT_EQ(trace.attr("strategy"), "transaction_prefix");
+    EXPECT_LE(trace.counter("elements_examined"), stored);
   }
   {
     TraceContext trace;

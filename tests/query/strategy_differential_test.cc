@@ -9,10 +9,13 @@
 // position sets (the engine's strategy-interchangeability contract), and the
 // specialized plan must never examine more elements than the naive one; for
 // the doubly-bounded panes, whose transaction-time window is a fixed-width
-// slice of the history, it must examine strictly fewer.
+// slice of the history, it must examine strictly fewer. As-of reads
+// (rollback and timeslice AS OF) are checked against a hand-written ExistsAt
+// walk and must examine only rows stored by their instant.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/executor.h"
@@ -46,9 +49,16 @@ struct RegionRelation {
   EnumeratedRegion region;
   std::shared_ptr<LogicalClock> clock;
   std::unique_ptr<TemporalRelation> relation;
+  /// Transaction times shared by a Modify's deletion and insertion, with
+  /// the inserted event's valid time.
+  std::vector<std::pair<TimePoint, TimePoint>> modifies;
 };
 
-RegionRelation BuildRelationFor(const EnumeratedRegion& region, uint64_t seed) {
+/// \brief Loads kEvents band-confined events, closing ~1/8 of them; with
+/// `with_modifies`, ~1/16 of the survivors are also replaced by a Modify
+/// (deletion + insertion at one transaction time).
+RegionRelation BuildRelationFor(const EnumeratedRegion& region, uint64_t seed,
+                                bool with_modifies = false) {
   RegionRelation out;
   out.region = region;
   out.clock = std::make_shared<LogicalClock>(T(0), Duration::Seconds(1));
@@ -80,6 +90,15 @@ RegionRelation BuildRelationFor(const EnumeratedRegion& region, uint64_t seed) {
     // drop out of current-belief scans identically on both paths).
     if (rng.Uniform(0, 7) == 0) {
       out.relation->LogicalDelete(surrogate.ValueOrDie()).Check();
+    } else if (with_modifies && rng.Uniform(0, 15) == 0) {
+      const TimePoint shared = out.clock->Peek();
+      const TimePoint new_vt = shared + Duration::Seconds(rng.Uniform(lo, hi));
+      out.relation
+          ->Modify(surrogate.ValueOrDie(), ValidTime::Event(new_vt),
+                   Tuple{int64_t{i % 32}, 0.25})
+          .status()
+          .Check();
+      out.modifies.emplace_back(shared, new_vt);
     }
   }
   return out;
@@ -280,6 +299,99 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
     }
     EXPECT_EQ(rollback.positions(), naive_rollback)
         << "existence_columnar as-of";
+  }
+}
+
+TEST(StrategyDifferentialTest, AsOfReadsScanOnlyTheStoredPrefix) {
+  // As-of differential: transaction time is append-only, so the executor
+  // cuts every as-of read to the positions stored by its instant. For every
+  // pane — with deletions and Modify pairs in the history — the planned
+  // as-of timeslice, the same query forced onto the valid-index probe, and
+  // the rollback must each return exactly the positions a hand-written
+  // ExistsAt walk over the Elements finds (not a full-scan plan: that is
+  // pruned too), and examine no row stored after the instant.
+  PlanChoice index_plan;
+  index_plan.strategy = ExecutionStrategy::kValidIndex;
+
+  uint64_t seed = 2027;
+  for (const EnumeratedRegion& region :
+       EnumerateEventRegions(kDeltaSmall, kDeltaLarge)) {
+    SCOPED_TRACE(std::string(EventSpecKindToString(region.kind)) + " " +
+                 region.band.ToString());
+    RegionRelation rr = BuildRelationFor(region, seed++, true);
+    ASSERT_FALSE(rr.modifies.empty());
+    QueryExecutor exec(*rr.relation, ExecutorOptions{.pool = nullptr});
+    const auto& elements = rr.relation->elements();
+    const auto& [shared_tt, shared_vt] = rr.modifies[rr.modifies.size() / 2];
+
+    const struct {
+      const char* name;
+      TimePoint as_of;
+    } instants[] = {
+        {"before the first insert",
+         elements.front().tt_begin - Duration::Seconds(1)},
+        {"at a Modify-shared transaction time", shared_tt},
+        {"mid-history",
+         TimePoint::FromMicros(rr.relation->LastTransactionTime().micros() /
+                               2)},
+        {"after the last insert",
+         elements.back().tt_begin + Duration::Seconds(1)},
+        {"TimePoint::Max()", TimePoint::Max()},
+    };
+    Random rng(seed * 59);
+    for (const auto& instant : instants) {
+      SCOPED_TRACE(instant.name);
+      const TimePoint as_of = instant.as_of;
+      uint64_t stored = 0;
+      std::vector<uint64_t> naive_rollback;
+      for (size_t i = 0; i < elements.size(); ++i) {
+        if (elements[i].tt_begin <= as_of) ++stored;
+        if (elements[i].ExistsAt(as_of)) naive_rollback.push_back(i);
+      }
+
+      // Before the first insert `stored` is 0, so the bounds below demand
+      // that nothing at all is examined.
+      QueryStats rollback_stats;
+      EXPECT_EQ(exec.RollbackSet(as_of, &rollback_stats).positions(),
+                naive_rollback);
+      EXPECT_LE(rollback_stats.elements_examined, stored);
+
+      std::vector<TimePoint> vts = {shared_vt};
+      for (int k = 0; k < 4; ++k) {
+        vts.push_back(elements[static_cast<size_t>(rng.Uniform(
+                                   0, static_cast<int64_t>(elements.size()) -
+                                          1))]
+                          .valid.at());
+      }
+      for (const TimePoint vt : vts) {
+        std::vector<uint64_t> naive;
+        for (size_t i = 0; i < elements.size(); ++i) {
+          if (elements[i].ExistsAt(as_of) && elements[i].valid.at() == vt) {
+            naive.push_back(i);
+          }
+        }
+        const PlanChoice planned = exec.optimizer().PlanTimeslice(vt);
+        QueryStats planned_stats, index_stats;
+        EXPECT_EQ(exec.TimesliceAsOfSet(vt, as_of, &planned_stats).positions(),
+                  naive)
+            << ExecutionStrategyToString(planned.strategy);
+        EXPECT_EQ(exec.TimesliceAsOfSetWith(index_plan, vt, as_of, &index_stats)
+                      .positions(),
+                  naive)
+            << "forced valid_index";
+        EXPECT_LE(planned_stats.elements_examined, stored)
+            << ExecutionStrategyToString(planned.strategy);
+        EXPECT_LE(index_stats.elements_examined, stored) << "forced valid_index";
+      }
+    }
+    // The Modify-shared instant really is shared: one element's existence
+    // ends exactly where its replacement's begins.
+    bool closed = false, opened = false;
+    for (const Element& e : elements) {
+      closed |= e.tt_end == shared_tt;
+      opened |= e.tt_begin == shared_tt;
+    }
+    EXPECT_TRUE(closed && opened);
   }
 }
 
