@@ -1,116 +1,92 @@
-// E9 — Rollback on the backlog representation: naive prefix replay vs the
-// snapshot/differential cache (the [JMRS90] technique cited in Section 2).
+// E9 — Rollback: naive backlog replay (the [JMRS90] representation of
+// Section 2) vs the engine's rollback, a scan of the transaction-time prefix.
 //
-// Sweeps the backlog size; the cached variant replays only the suffix past
-// the nearest snapshot. Also sweeps the snapshot interval at a fixed size to
-// expose the space/time trade-off (counter reports cache residency).
+// One random insert/delete op stream is pushed through a TemporalRelation;
+// the naive variant replays the relation's backlog up to each instant
+// (BacklogStore::MaterializeState), the engine variants answer the same
+// instants with QueryExecutor: Rollback for materialized rows, RollbackSet
+// for positions only. Relations are append-only and entered in time-stamp
+// order (Section 3.1), so the rows stored by T are a prefix found by one
+// binary search on the tt_start column.
 #include "bench_common.h"
-#include "storage/snapshot.h"
-#include "util/thread_pool.h"
 
 using namespace tempspec;
 using tempspec::bench::Require;
 
 namespace {
 
-std::unique_ptr<BacklogStore> MakeBacklog(int64_t operations) {
-  auto store = Require(BacklogStore::Open({}));
+std::unique_ptr<TemporalRelation> MakeRelation(int64_t operations) {
+  auto clock = std::make_shared<LogicalClock>();
+  RelationOptions options;
+  options.schema = Require(Schema::Make(
+      "e9_rollback",
+      {AttributeDef{"k", ValueType::kInt64, AttributeRole::kTimeInvariantKey}},
+      ValidTimeKind::kEvent, Granularity::Second()));
+  options.clock = clock;
+  auto relation = Require(TemporalRelation::Open(std::move(options)));
   Random rng(17);
-  ElementSurrogate next = 1;
   std::vector<ElementSurrogate> alive;
   for (int64_t i = 0; i < operations; ++i) {
     const TimePoint tt = TimePoint::FromSeconds(i);
+    clock->SetTo(tt);
     if (!alive.empty() && rng.OneIn(0.3)) {
       const size_t pick = static_cast<size_t>(rng.Uniform(0, alive.size() - 1));
-      BacklogEntry del;
-      del.op = BacklogOpType::kLogicalDelete;
-      del.tt = tt;
-      del.target = alive[pick];
+      Require(relation->LogicalDelete(alive[pick]));
       alive.erase(alive.begin() + pick);
-      Require(store->Append(del));
     } else {
-      BacklogEntry ins;
-      ins.op = BacklogOpType::kInsert;
-      ins.tt = tt;
-      ins.element.element_surrogate = next;
-      ins.element.object_surrogate = next % 64 + 1;
-      ins.element.tt_begin = tt;
-      ins.element.valid = ValidTime::Event(tt - Duration::Seconds(30));
-      ins.element.attributes = Tuple{static_cast<int64_t>(next % 64)};
-      alive.push_back(next);
-      ++next;
-      Require(store->Append(ins));
+      const int64_t key = i % 64;
+      alive.push_back(Require(relation->InsertEvent(
+          static_cast<ObjectSurrogate>(key + 1), tt - Duration::Seconds(30),
+          Tuple{key})));
     }
   }
-  return store;
+  return relation;
+}
+
+TimePoint RandomInstant(Random& rng, int64_t operations) {
+  return TimePoint::FromSeconds(rng.Uniform(0, operations));
 }
 
 void BM_Rollback_NaiveReplay(benchmark::State& state) {
-  auto store = MakeBacklog(state.range(0));
+  auto relation = MakeRelation(state.range(0));
   Random rng(29);
   for (auto _ : state) {
-    const TimePoint tt = TimePoint::FromSeconds(rng.Uniform(0, state.range(0)));
-    auto result = store->MaterializeState(tt);
+    auto result =
+        relation->backlog().MaterializeState(RandomInstant(rng, state.range(0)));
     benchmark::DoNotOptimize(result);
   }
 }
 
-void BM_Rollback_SnapshotDifferential(benchmark::State& state) {
-  auto store = MakeBacklog(state.range(0));
-  SnapshotManager snapshots(store.get(), /*interval=*/1024);
-  snapshots.Refresh();
+void BM_Rollback_PrefixScan(benchmark::State& state) {
+  // Materialized rows, copied out by the executor's pool.
+  auto relation = MakeRelation(state.range(0));
+  QueryExecutor exec(*relation);
+  QueryStats stats;
   Random rng(29);
   for (auto _ : state) {
-    const TimePoint tt = TimePoint::FromSeconds(rng.Uniform(0, state.range(0)));
-    auto result = snapshots.StateAt(tt);
+    auto result = exec.Rollback(RandomInstant(rng, state.range(0)), &stats);
     benchmark::DoNotOptimize(result);
   }
-  state.counters["cached_elements"] =
-      benchmark::Counter(static_cast<double>(snapshots.cached_elements()));
+  tempspec::bench::ReportQueryStats(state, stats);
 }
 
-void BM_Rollback_SnapshotDifferentialParallel(benchmark::State& state) {
-  // Same replay as above, but the merged state is copied out by the thread
-  // pool (the replay itself is inherently sequential; only materialization
-  // parallelizes, so gains appear when the reconstructed state is large).
-  auto store = MakeBacklog(state.range(0));
-  SnapshotManager snapshots(store.get(), /*interval=*/1024);
-  snapshots.Refresh();
-  ThreadPool pool;
+void BM_Rollback_PrefixScanPositions(benchmark::State& state) {
+  // Zero-copy positions only: the scan itself, without materialization.
+  auto relation = MakeRelation(state.range(0));
+  QueryExecutor exec(*relation);
+  QueryStats stats;
   Random rng(29);
   for (auto _ : state) {
-    const TimePoint tt = TimePoint::FromSeconds(rng.Uniform(0, state.range(0)));
-    auto result = snapshots.StateAt(tt, &pool);
-    benchmark::DoNotOptimize(result);
+    ResultSet result = exec.RollbackSet(RandomInstant(rng, state.range(0)), &stats);
+    benchmark::DoNotOptimize(result.positions().data());
   }
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(pool.size()));
-}
-
-void BM_Rollback_IntervalSweep(benchmark::State& state) {
-  // Fixed backlog, varying snapshot interval: replay cost vs cache size.
-  constexpr int64_t kOps = 65536;
-  auto store = MakeBacklog(kOps);
-  SnapshotManager snapshots(store.get(),
-                            static_cast<size_t>(state.range(0)));
-  snapshots.Refresh();
-  Random rng(31);
-  for (auto _ : state) {
-    const TimePoint tt = TimePoint::FromSeconds(rng.Uniform(0, kOps));
-    auto result = snapshots.StateAt(tt);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["snapshot_interval"] =
-      benchmark::Counter(static_cast<double>(state.range(0)));
-  state.counters["cached_elements"] =
-      benchmark::Counter(static_cast<double>(snapshots.cached_elements()));
+  tempspec::bench::ReportQueryStats(state, stats);
 }
 
 }  // namespace
 
-BENCHMARK(BM_Rollback_NaiveReplay)->Range(1024, 65536);
-BENCHMARK(BM_Rollback_SnapshotDifferential)->Range(1024, 65536);
-BENCHMARK(BM_Rollback_SnapshotDifferentialParallel)->Range(1024, 65536);
-BENCHMARK(BM_Rollback_IntervalSweep)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Rollback_NaiveReplay)->Range(1024, 262144);
+BENCHMARK(BM_Rollback_PrefixScan)->Range(1024, 262144);
+BENCHMARK(BM_Rollback_PrefixScanPositions)->Range(1024, 262144);
 
 TEMPSPEC_BENCH_MAIN("e9_rollback");

@@ -139,8 +139,8 @@ void BM_P1_Timeslice_Materialized(benchmark::State& state) {
 }
 
 void BM_P1_Rollback_Scan(benchmark::State& state) {
-  // range(0) threads over the 1M element array (no snapshot cache here —
-  // this is the raw existence scan, over the prefix stored by each tt).
+  // range(0) threads over the 1M element array: the existence scan over
+  // the prefix stored by each tt.
   BigRelation& big = Big();
   ThreadPool pool(static_cast<size_t>(state.range(0)));
   QueryExecutor exec(*big.scenario,

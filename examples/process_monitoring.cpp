@@ -24,7 +24,6 @@ int main() {
   config.num_objects = 16;     // sensors
   config.ops_per_object = 240; // samples per sensor (4 hours at 1/min)
   config.storage_directory = dir;
-  config.snapshot_interval = 512;
 
   const Duration min_delay = Duration::Seconds(30);
   const Duration max_delay = Duration::Seconds(120);

@@ -22,7 +22,7 @@ class Catalog {
   Result<TemporalRelation*> CreateRelation(RelationOptions options);
 
   /// \brief Parses a CREATE ... RELATION statement (lang/ddl.h) and opens
-  /// the relation. Non-declarative knobs (clock, storage, snapshots) come
+  /// the relation. Non-declarative knobs (clock, storage, granularity policy) come
   /// from `base`, whose schema/specializations are ignored.
   Result<TemporalRelation*> CreateRelationFromDdl(const std::string& ddl,
                                                   RelationOptions base = {});

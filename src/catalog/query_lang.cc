@@ -538,11 +538,9 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     QueryExecutor exec(*rel, exec_options);
     if (!out.explain_only) out.elements = exec.Rollback(tt, &out.stats);
     out.plan_description =
-        rel->snapshots() != nullptr
-            ? "snapshot + differential replay"
-            : "transaction-time prefix scan [kernel " +
-                  std::string(ScanKernelToToken(ScanKernel::kExistence)) +
-                  "] — " + AsOfBound(tt);
+        "transaction-time prefix scan [kernel " +
+        std::string(ScanKernelToToken(ScanKernel::kExistence)) + "] — " +
+        AsOfBound(tt);
   } else if (verb == "TIMESLICE") {
     TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
     TS_RETURN_NOT_OK(cur.ExpectWord("AT"));

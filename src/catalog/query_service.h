@@ -35,8 +35,8 @@ namespace tempspec {
 struct QueryServiceOptions {
   /// Root of the persistence tree; empty keeps everything in memory.
   std::string data_dir;
-  /// Template for non-declarative relation knobs (clock, snapshots,
-  /// granularity policy). Its schema/specializations/storage directory are
+  /// Template for non-declarative relation knobs (clock, granularity
+  /// policy). Its schema/specializations/storage directory are
   /// ignored; the storage directory is derived per relation.
   RelationOptions relation_base;
 };

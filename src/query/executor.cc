@@ -470,20 +470,6 @@ std::vector<Element> QueryExecutor::Current(QueryStats* stats) const {
 
 std::vector<Element> QueryExecutor::Rollback(TimePoint tt,
                                              QueryStats* stats) const {
-  if (relation_.snapshots() != nullptr) {
-    // The snapshot/differential cache replays the backlog in O(suffix); it
-    // also reproduces the historical representation (deletion stamps still
-    // open at tt), which a position view over the final store cannot.
-    QueryScope scope(relation_, options_.trace, "query.rollback", stats);
-    scope.SetStrategyToken("snapshot_replay");
-    stats = scope.stats();
-    StatsTimer timer(stats);
-    TraceContext::StageScope scan_stage(options_.trace, "snapshot_replay");
-    std::vector<Element> out = relation_.StateAt(tt, options_.pool);
-    Count(stats, out.size());
-    if (stats) stats->results += out.size();
-    return out;
-  }
   return RollbackSet(tt, stats).Materialize(options_.pool);
 }
 

@@ -116,10 +116,9 @@ class QueryExecutor {
 
   std::vector<Element> Current(QueryStats* stats = nullptr) const;
 
-  /// \brief Rollback query: the state as stored at transaction time `tt`.
-  /// Uses the relation's snapshot/differential cache when enabled (replaying
-  /// the backlog reproduces open deletion stamps); otherwise materializes
-  /// RollbackSet.
+  /// \brief Rollback query: the state as stored at transaction time `tt`,
+  /// materialized from RollbackSet (the transaction-time prefix scan), so
+  /// elements come in position order with their final tt_end.
   std::vector<Element> Rollback(TimePoint tt, QueryStats* stats = nullptr) const;
 
   std::vector<Element> Timeslice(TimePoint vt, QueryStats* stats = nullptr) const;

@@ -16,7 +16,6 @@ TemporalRelation::TemporalRelation(RelationOptions options)
                                                   Duration::Seconds(1))),
       checker_(specs_, schema_->valid_granularity()),
       drift_(schema_->relation_name(), specs_, schema_->valid_granularity()),
-      snapshot_interval_(options.snapshot_interval),
       granularity_policy_(options.granularity_policy) {}
 
 Result<std::unique_ptr<TemporalRelation>> TemporalRelation::Open(
@@ -34,12 +33,6 @@ Result<std::unique_ptr<TemporalRelation>> TemporalRelation::Open(
   relation->backlog_ = std::move(backlog_result).ValueOrDie();
   if (relation->backlog_->size() > 0) {
     TS_RETURN_NOT_OK(relation->ApplyRecoveredEntries());
-  }
-  // Snapshots are created after recovery so recovered operations are covered.
-  if (relation->snapshot_interval_ > 0) {
-    relation->snapshots_ = std::make_unique<SnapshotManager>(
-        relation->backlog_.get(), relation->snapshot_interval_);
-    relation->snapshots_->Refresh();
   }
   return relation;
 }
@@ -189,7 +182,6 @@ Result<ElementSurrogate> TemporalRelation::InsertAt(TimePoint tt,
   IndexElement(e, elements_.size());
   const ElementSurrogate id = e.element_surrogate;
   elements_.push_back(std::move(e));
-  if (snapshots_) snapshots_->Refresh();
   return id;
 }
 
@@ -223,7 +215,6 @@ Status TemporalRelation::LogicalDeleteAt(TimePoint tt,
 
   e.tt_end = tt;
   stamps_.SetTtEnd(it->second, tt);
-  if (snapshots_) snapshots_->Refresh();
   return Status::OK();
 }
 
@@ -251,32 +242,6 @@ Result<Element> TemporalRelation::GetElement(ElementSurrogate surrogate) const {
   return elements_[it->second];
 }
 
-std::vector<Element> TemporalRelation::StateAt(TimePoint tt) const {
-  return StateAt(tt, nullptr);
-}
-
-std::vector<Element> TemporalRelation::StateAt(TimePoint tt,
-                                               ThreadPool* pool) const {
-  if (snapshots_) return snapshots_->StateAt(tt, pool);
-  // Elements sit in transaction-time order (IndexElement enforces it, and
-  // vacuum compaction keeps the survivors' order), so only the prefix
-  // stored by `tt` can exist at it.
-  const size_t stored = stamps_.StoredBy(tt);
-  std::vector<Element> out;
-  for (size_t i = 0; i < stored; ++i) {
-    if (elements_[i].ExistsAt(tt)) out.push_back(elements_[i]);
-  }
-  return out;
-}
-
-std::vector<Element> TemporalRelation::CurrentState() const {
-  std::vector<Element> out;
-  for (const Element& e : elements_) {
-    if (e.IsCurrent()) out.push_back(e);
-  }
-  return out;
-}
-
 std::vector<const Element*> TemporalRelation::PartitionOf(
     ObjectSurrogate object) const {
   std::vector<const Element*> out;
@@ -301,31 +266,31 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
   // one retained trace, so a slow vacuum is attributable after the fact.
   TraceContext span;
   span.Begin("background.vacuum");
-  std::vector<Element> kept;
-  kept.reserve(elements_.size());
+  // Survivors are copied into the compacted backlog, not moved out of
+  // elements_: ReplaceAll can fail, and the relation must then keep serving
+  // its unchanged in-memory store.
+  const auto survives = [horizon](const Element& e) {
+    // Only elements whose existence interval has closed can be dead;
+    // current elements (open tt_d) always survive.
+    return e.tt_end.IsMax() || e.tt_end > horizon;
+  };
+  size_t kept = 0;
   {
     TraceContext::StageScope stage(&span, "collect");
-    for (Element& e : elements_) {
-      // Only elements whose existence interval has closed can be dead;
-      // current elements (open tt_d) always survive.
-      if (!e.tt_end.IsMax() && e.tt_end <= horizon) continue;
-      kept.push_back(std::move(e));
-    }
+    for (const Element& e : elements_) kept += survives(e) ? 1 : 0;
   }
-  const size_t removed = elements_.size() - kept.size();
-  span.AddCounter("elements_kept", kept.size());
+  const size_t removed = elements_.size() - kept;
+  span.AddCounter("elements_kept", kept);
   span.AddCounter("elements_dropped", removed);
-  if (removed == 0) {
-    elements_ = std::move(kept);
-    return size_t{0};
-  }
+  if (removed == 0) return size_t{0};
 
   // Compact the backlog: re-derive the operation history of the survivors.
   std::vector<BacklogEntry> compacted;
   {
     TraceContext::StageScope stage(&span, "compact");
-    compacted.reserve(kept.size() * 2);
-    for (const Element& e : kept) {
+    compacted.reserve(kept * 2);
+    for (const Element& e : elements_) {
+      if (!survives(e)) continue;
       BacklogEntry ins;
       ins.op = BacklogOpType::kInsert;
       ins.tt = e.tt_begin;
@@ -333,8 +298,8 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
       ins.element.tt_end = TimePoint::Max();  // the delete is its own entry
       compacted.push_back(std::move(ins));
     }
-    for (const Element& e : kept) {
-      if (e.tt_end.IsMax()) continue;
+    for (const Element& e : elements_) {
+      if (!survives(e) || e.tt_end.IsMax()) continue;
       BacklogEntry del;
       del.op = BacklogOpType::kLogicalDelete;
       del.tt = e.tt_end;
@@ -348,10 +313,13 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
   }
   TS_RETURN_NOT_OK(backlog_->ReplaceAll(std::move(compacted), &span));
 
-  // Rebuild the in-memory store and indexes.
+  // The compacted backlog is committed: compact the in-memory store (order
+  // preserved) and rebuild the indexes over it.
   {
     TraceContext::StageScope reindex_stage(&span, "reindex");
-    elements_ = std::move(kept);
+    elements_.erase(std::remove_if(elements_.begin(), elements_.end(),
+                                   [&](const Element& e) { return !survives(e); }),
+                    elements_.end());
     by_surrogate_.clear();
     partitions_.clear();
     object_order_.clear();
@@ -365,11 +333,6 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
       }
       partitions_[e.object_surrogate].push_back(i);
       IndexElement(e, i);
-    }
-    if (snapshot_interval_ > 0) {
-      snapshots_ =
-          std::make_unique<SnapshotManager>(backlog_.get(), snapshot_interval_);
-      snapshots_->Refresh();
     }
   }
   RetainedTraces::Instance().Record(span);

@@ -12,11 +12,12 @@
 //                   transaction time of the modifying transaction.
 //
 // Queries over transaction time (rollback) and valid time (timeslice) are in
-// src/query; this class exposes the raw state-reconstruction primitives.
+// src/query (QueryExecutor); this class holds the elements, indexes and stamp
+// columns they scan.
 //
 // Concurrent-access contract (for the morsel-parallel execution layer): the
 // relation is single-writer. All const member functions — elements(),
-// StateAt(), the index accessors, GetElement(), PartitionOf(), GetStats() —
+// stamps(), the index accessors, GetElement(), PartitionOf(), GetStats() —
 // are safe to call from any number of threads simultaneously, PROVIDED no
 // thread is concurrently executing a non-const member (Insert*, Modify,
 // LogicalDelete, VacuumBefore, Checkpoint). The span returned by elements()
@@ -38,13 +39,10 @@
 #include "spec/drift.h"
 #include "spec/specialization.h"
 #include "storage/backlog.h"
-#include "storage/snapshot.h"
 #include "timex/clock.h"
 #include "util/result.h"
 
 namespace tempspec {
-
-class ThreadPool;
 
 /// \brief How the relation treats valid stamps that are finer than the
 /// schema's valid-time granularity (Section 2 gives each relation its own
@@ -65,8 +63,6 @@ struct RelationOptions {
   std::shared_ptr<TransactionClock> clock;
   /// Storage for the backlog; empty directory = in-memory only.
   BacklogStore::Options storage;
-  /// Materialize a rollback snapshot every N operations (0 = disabled).
-  size_t snapshot_interval = 0;
   GranularityPolicy granularity_policy = GranularityPolicy::kIgnore;
 };
 
@@ -83,8 +79,6 @@ class TemporalRelation {
   TransactionClock& clock() { return *clock_; }
   BacklogStore& backlog() { return *backlog_; }
   const BacklogStore& backlog() const { return *backlog_; }
-  SnapshotManager* snapshots() { return snapshots_.get(); }
-  const SnapshotManager* snapshots() const { return snapshots_.get(); }
 
   // -- Updates ---------------------------------------------------------------
 
@@ -115,16 +109,6 @@ class TemporalRelation {
   size_t size() const { return elements_.size(); }
 
   Result<Element> GetElement(ElementSurrogate surrogate) const;
-
-  /// \brief The historical state at transaction time tt (rollback
-  /// primitive); uses the snapshot cache when enabled. With a pool, the
-  /// snapshot path copies elements morsel-parallel (identical results).
-  /// Without the cache it walks only the elements stored by `tt`.
-  std::vector<Element> StateAt(TimePoint tt) const;
-  std::vector<Element> StateAt(TimePoint tt, ThreadPool* pool) const;
-
-  /// \brief The current state.
-  std::vector<Element> CurrentState() const;
 
   /// \brief The life-line of one object: its elements in insertion order
   /// (the per-surrogate partition of Section 2).
@@ -164,8 +148,9 @@ class TemporalRelation {
   /// at or after the horizon). Rollback queries older than the horizon are
   /// no longer answerable — this deliberately trades the paper's
   /// keep-everything semantics for space, as production systems must.
-  /// Indexes, partitions, the backlog (compacted, durably when applicable),
-  /// and the snapshot cache are rebuilt. Returns the number of elements
+  /// Indexes, partitions and the backlog (compacted, durably when
+  /// applicable) are rebuilt; if compacting the backlog fails, the in-memory
+  /// elements and indexes are left untouched. Returns the number of elements
   /// removed. Constraint-checker state is preserved: future updates must
   /// still be consistent with the full (pre-vacuum) history.
   Result<size_t> VacuumBefore(TimePoint horizon);
@@ -206,10 +191,8 @@ class TemporalRelation {
   SpecializationSet specs_;
   std::shared_ptr<TransactionClock> clock_;
   std::unique_ptr<BacklogStore> backlog_;
-  std::unique_ptr<SnapshotManager> snapshots_;
   ConstraintChecker checker_;
   RelationDriftMonitor drift_;
-  size_t snapshot_interval_ = 0;
   GranularityPolicy granularity_policy_ = GranularityPolicy::kIgnore;
   SurrogateGenerator surrogates_;
 

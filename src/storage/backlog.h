@@ -5,9 +5,11 @@
 // and deletion operations (tuples) with single transaction time-stamps"):
 // every update is an appended, transaction-time-stamped operation, and any
 // historical state is reproduced by replaying the prefix of operations up to
-// the requested transaction time. Snapshot caching and differential replay
-// (snapshot.h) accelerate the reproduction, mirroring the caching/
-// differential techniques the paper cites.
+// the requested transaction time. MaterializeState() is that replay, kept as
+// the reference answer. The engine answers rollback by scanning the
+// transaction-time prefix of the relation's columnar stamps instead
+// (query/executor.h); it returns the same elements in insertion order, with
+// their final deletion stamps.
 //
 // Durability: each operation is written to the WAL before being applied;
 // Checkpoint() packs applied operations into the slotted page file and

@@ -54,7 +54,6 @@ Result<ScenarioRelation> OpenScenario(const WorkloadConfig& config,
   }
   options.clock = out.clock;
   options.storage.directory = config.storage_directory;
-  options.snapshot_interval = config.snapshot_interval;
   TS_ASSIGN_OR_RETURN(out.relation, TemporalRelation::Open(std::move(options)));
   return out;
 }

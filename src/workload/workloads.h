@@ -48,9 +48,8 @@ struct WorkloadConfig {
   size_t num_objects = 16;      // sensors / employees / accounts / squares
   size_t ops_per_object = 64;   // samples / checks / assignments per object
   uint64_t seed = 42;
-  /// Storage directory ("" = in-memory) and snapshot interval are forwarded.
+  /// Storage directory ("" = in-memory), forwarded to the relation.
   std::string storage_directory;
-  size_t snapshot_interval = 0;
   /// When set, the relation is created WITHOUT its scenario's declared
   /// specializations (baseline mode: same data, no semantics to exploit).
   bool declare_specializations = true;

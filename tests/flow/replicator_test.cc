@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "query/executor.h"
 #include "spec/inference.h"
 #include "testing.h"
 
@@ -124,7 +125,7 @@ TEST_F(ReplicatorTest, DeletesPropagateWithCausality) {
   Replicator replicator(source_.get(), target_.get(), dst_clock_.get(),
                         Duration::Seconds(10), Duration::Seconds(30));
   ASSERT_OK(replicator.Sync());
-  EXPECT_EQ(target_->CurrentState().size(), 18u);
+  EXPECT_EQ(QueryExecutor(*target_).CurrentSet().size(), 18u);
   ASSERT_OK_AND_ASSIGN(ElementSurrogate t3, replicator.TargetOf(ids[3]));
   ASSERT_OK_AND_ASSIGN(Element dead, target_->GetElement(t3));
   EXPECT_FALSE(dead.IsCurrent());

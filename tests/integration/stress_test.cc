@@ -1,6 +1,6 @@
 // Larger-scale integration: every scenario workload at tens of thousands of
 // elements, with full re-validation, strategy-equivalence sampling, and
-// snapshot-consistency checks. Keeps runtime in seconds while exercising
+// rollback-consistency checks. Keeps runtime in seconds while exercising
 // volumes the unit tests do not.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@ WorkloadConfig BigConfig() {
   WorkloadConfig config;
   config.num_objects = 32;
   config.ops_per_object = 512;  // 16 384 elements per scenario
-  config.snapshot_interval = 1024;
   return config;
 }
 
@@ -47,22 +46,22 @@ TEST(StressTest, ProcessMonitoringAtScale) {
   CheckStrategyEquivalence(scenario.relation.get(), 997);
 }
 
-TEST(StressTest, DegenerateAtScaleWithSnapshots) {
+TEST(StressTest, DegenerateAtScaleRollback) {
   const WorkloadConfig config = BigConfig();
   ASSERT_OK_AND_ASSIGN(auto scenario,
                        MakeDegenerateMonitoring(config, Duration::Seconds(10)));
   ASSERT_OK(GenerateDegenerateMonitoring(config, Duration::Seconds(10), &scenario));
   ASSERT_OK(scenario->CheckExtension());
   CheckStrategyEquivalence(scenario.relation.get(), 1499);
-  // Snapshot-backed rollback equals a manual scan at sampled stamps.
-  ASSERT_NE(scenario->snapshots(), nullptr);
+  // Rollback equals a manual scan at sampled stamps.
+  QueryExecutor exec(*scenario);
   for (size_t i = 100; i < scenario->size(); i += 3001) {
     const TimePoint tt = scenario->elements()[i].tt_begin;
     size_t expected = 0;
     for (const Element& e : scenario->elements()) {
       if (e.ExistsAt(tt)) ++expected;
     }
-    EXPECT_EQ(scenario->StateAt(tt).size(), expected);
+    EXPECT_EQ(exec.Rollback(tt).size(), expected);
   }
 }
 

@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "query/executor.h"
-#include "storage/snapshot.h"
 #include "testing.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -235,43 +234,14 @@ TEST(ParallelParityTest, MaterializeAdaptersMatchSets) {
   for (size_t i = 0; i < set.size(); ++i) {
     ASSERT_TRUE(SameElement(set[i], via_adapter[i]));
   }
-}
-
-TEST(ParallelParityTest, SnapshotParallelReplayMatchesSerial) {
-  WorkloadConfig config;
-  config.num_objects = 16;
-  config.ops_per_object = 256;
-  config.snapshot_interval = 512;
-  ASSERT_OK_AND_ASSIGN(
-      auto scenario, MakeProcessMonitoring(config, Duration::Seconds(30),
-                                           Duration::Seconds(120),
-                                           Duration::Minutes(1)));
-  ASSERT_OK(GenerateProcessMonitoring(config, Duration::Seconds(30),
-                                      Duration::Seconds(120),
-                                      Duration::Minutes(1), &scenario));
-  ASSERT_NE(scenario->snapshots(), nullptr);
-  ASSERT_GT(scenario->snapshots()->snapshot_count(), 0u);
-  ThreadPool pool(4);
-  Random rng(23);
-  for (int trial = 0; trial < 12; ++trial) {
-    const size_t i = static_cast<size_t>(rng.Uniform(0, scenario->size() - 1));
-    const TimePoint tt = scenario->elements()[i].tt_begin;
-    const auto serial = scenario->StateAt(tt);
-    const auto parallel = scenario->StateAt(tt, &pool);
-    ASSERT_EQ(serial.size(), parallel.size()) << "tt=" << tt.ToString();
-    for (size_t k = 0; k < serial.size(); ++k) {
-      ASSERT_TRUE(SameElement(serial[k], parallel[k])) << "tt=" << tt.ToString();
-    }
-    // Sorted-by-surrogate contract, and agreement with a manual scan.
-    ASSERT_TRUE(std::is_sorted(serial.begin(), serial.end(),
-                               [](const Element& a, const Element& b) {
-                                 return a.element_surrogate < b.element_surrogate;
-                               }));
-    size_t expected = 0;
-    for (const Element& e : scenario->elements()) {
-      if (e.ExistsAt(tt)) ++expected;
-    }
-    ASSERT_EQ(serial.size(), expected);
+  // Rollback materializes with the executor's pool; the set view, serially.
+  const TimePoint tt = scenario->elements()[scenario->size() / 2].tt_begin;
+  const auto rolled_back = exec.Rollback(tt);
+  const auto rolled_back_set = exec.RollbackSet(tt).Materialize();
+  ASSERT_FALSE(rolled_back.empty());
+  ASSERT_EQ(rolled_back.size(), rolled_back_set.size());
+  for (size_t i = 0; i < rolled_back.size(); ++i) {
+    ASSERT_TRUE(SameElement(rolled_back[i], rolled_back_set[i]));
   }
 }
 

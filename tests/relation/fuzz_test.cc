@@ -1,5 +1,5 @@
-// Model-based randomized testing: a TemporalRelation (with snapshots and
-// durable storage) is driven with random insert/delete/modify/query
+// Model-based randomized testing: a TemporalRelation (in memory, and with
+// durable storage across reopens) is driven with random insert/delete/modify/query
 // sequences and compared, after every operation, against a trivially
 // correct in-memory reference model.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <map>
+#include <set>
 
 #include "query/executor.h"
 #include "relation/temporal_relation.h"
@@ -39,12 +40,12 @@ class ReferenceModel {
       if (f.id == id) f.tt_end = tt;
     }
   }
-  size_t StateSizeAt(int64_t tt) const {
-    size_t n = 0;
+  std::set<ElementSurrogate> StateIdsAt(int64_t tt) const {
+    std::set<ElementSurrogate> out;
     for (const auto& f : facts_) {
-      if (f.tt_begin <= tt && tt < f.tt_end) ++n;
+      if (f.tt_begin <= tt && tt < f.tt_end) out.insert(f.id);
     }
-    return n;
+    return out;
   }
   size_t CurrentSize() const {
     size_t n = 0;
@@ -105,7 +106,6 @@ class FuzzFixture {
             .ValueOrDie();
     clock_ = std::make_shared<LogicalClock>(T(next_tt_), Duration::Seconds(1));
     options.clock = clock_;
-    options.snapshot_interval = 32;
     if (!dir_.empty()) options.storage.directory = dir_.string();
     relation_ = TemporalRelation::Open(std::move(options)).ValueOrDie();
   }
@@ -154,9 +154,13 @@ class FuzzFixture {
 
   void CheckQueries() {
     QueryExecutor exec(*relation_);
-    // Rollback at random past stamps.
+    // Rollback at random past stamps: exactly the reference's elements.
     const int64_t tt = rng_.Uniform(0, next_tt_ + 10);
-    EXPECT_EQ(exec.Rollback(T(tt)).size(), reference_.StateSizeAt(tt));
+    const std::vector<Element> rows = exec.Rollback(T(tt));
+    std::set<ElementSurrogate> rolled_back;
+    for (const Element& e : rows) rolled_back.insert(e.element_surrogate);
+    EXPECT_EQ(rolled_back, reference_.StateIdsAt(tt)) << "tt=" << tt;
+    EXPECT_EQ(rows.size(), rolled_back.size()) << "duplicate rows at tt=" << tt;
     EXPECT_EQ(exec.Current().size(), reference_.CurrentSize());
     // Timeslice and range queries (exercise the planner too).
     const int64_t vt = rng_.Uniform(-100, 3000);

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "query/executor.h"
 #include "testing.h"
+#include "util/failpoint.h"
 
 namespace tempspec {
 namespace {
@@ -104,8 +106,9 @@ TEST(RelationTest, ModifySharesOneTransactionTime) {
   // Exactly one historical state boundary: before it the old element, after
   // it the new one.
   const TimePoint boundary = new_e.tt_begin;
-  auto before = rel->StateAt(TimePoint::FromMicros(boundary.micros() - 1));
-  auto after = rel->StateAt(boundary);
+  QueryExecutor exec(*rel);
+  auto before = exec.Rollback(TimePoint::FromMicros(boundary.micros() - 1));
+  auto after = exec.Rollback(boundary);
   ASSERT_EQ(before.size(), 1u);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(before[0].element_surrogate, old_id);
@@ -119,11 +122,12 @@ TEST(RelationTest, RollbackStatesFollowHistory) {
   ASSERT_OK(rel->InsertEvent(2, T(910), Tuple{int64_t{2}, 2.0}).status());
   ASSERT_OK(rel->LogicalDelete(a));
   // tts: 1000, 1010, 1020.
-  EXPECT_EQ(rel->StateAt(T(999)).size(), 0u);
-  EXPECT_EQ(rel->StateAt(T(1000)).size(), 1u);
-  EXPECT_EQ(rel->StateAt(T(1010)).size(), 2u);
-  EXPECT_EQ(rel->StateAt(T(1020)).size(), 1u);
-  EXPECT_EQ(rel->CurrentState().size(), 1u);
+  QueryExecutor exec(*rel);
+  EXPECT_EQ(exec.RollbackSet(T(999)).size(), 0u);
+  EXPECT_EQ(exec.RollbackSet(T(1000)).size(), 1u);
+  EXPECT_EQ(exec.RollbackSet(T(1010)).size(), 2u);
+  EXPECT_EQ(exec.RollbackSet(T(1020)).size(), 1u);
+  EXPECT_EQ(exec.CurrentSet().size(), 1u);
 }
 
 TEST(RelationTest, PerSurrogatePartitions) {
@@ -214,7 +218,7 @@ TEST(RelationTest, DurableRecoveryRestoresEverything) {
   EXPECT_EQ(rel->size(), 3u);
   ASSERT_OK_AND_ASSIGN(Element e, rel->GetElement(deleted_id));
   EXPECT_FALSE(e.IsCurrent());
-  EXPECT_EQ(rel->CurrentState().size(), 2u);
+  EXPECT_EQ(QueryExecutor(*rel).CurrentSet().size(), 2u);
   EXPECT_OK(rel->CheckExtension());
   // New inserts continue beyond recovered stamps and surrogates.
   ASSERT_OK_AND_ASSIGN(ElementSurrogate next,
@@ -242,31 +246,6 @@ TEST(RelationTest, RecoveryEnforcesConstraintsOnNewInserts) {
   // a valid time before 500 is rejected.
   EXPECT_FALSE(rel->InsertEvent(1, T(400), Tuple{int64_t{1}, 2.0}).ok());
   EXPECT_OK(rel->InsertEvent(1, T(600), Tuple{int64_t{1}, 3.0}).status());
-}
-
-TEST(RelationTest, SnapshotRollbackMatchesScan) {
-  RelationOptions options = BaseOptions();
-  options.snapshot_interval = 16;
-  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(std::move(options)));
-  std::vector<ElementSurrogate> ids;
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_OK_AND_ASSIGN(
-        ElementSurrogate id,
-        rel->InsertEvent(i % 5, T(i), Tuple{int64_t{i % 5}, 0.0}));
-    ids.push_back(id);
-    if (i % 3 == 0 && i > 0) ASSERT_OK(rel->LogicalDelete(ids[i / 2]));
-  }
-  ASSERT_NE(rel->snapshots(), nullptr);
-  EXPECT_GT(rel->snapshots()->snapshot_count(), 0u);
-  // Compare snapshot-backed StateAt with a manual scan.
-  for (int64_t tt : {1000, 1500, 2000, 2500, 5000}) {
-    auto fast = rel->StateAt(T(tt));
-    size_t expected = 0;
-    for (const Element& e : rel->elements()) {
-      if (e.ExistsAt(T(tt))) ++expected;
-    }
-    EXPECT_EQ(fast.size(), expected) << "tt=" << tt;
-  }
 }
 
 TEST(RelationTest, StatsReflectPopulation) {
@@ -306,9 +285,10 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
   EXPECT_OK(rel->GetElement(c).status());
 
   // Rollback at/after the horizon is unchanged: at 1035 only b and c lived.
-  EXPECT_EQ(rel->StateAt(T(1035)).size(), 2u);
-  EXPECT_EQ(rel->StateAt(T(1045)).size(), 1u);
-  EXPECT_EQ(rel->CurrentState().size(), 1u);
+  QueryExecutor exec(*rel);
+  EXPECT_EQ(exec.RollbackSet(T(1035)).size(), 2u);
+  EXPECT_EQ(exec.RollbackSet(T(1045)).size(), 1u);
+  EXPECT_EQ(exec.CurrentSet().size(), 1u);
   // Indexes were rebuilt consistently.
   const StampColumns cols = rel->stamps().columns();
   ASSERT_EQ(cols.size, 2u);
@@ -323,10 +303,8 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
   EXPECT_OK(rel->InsertEvent(4, T(950), Tuple{int64_t{4}, 4.0}).status());
 }
 
-TEST(RelationTest, VacuumRebuildsSnapshotCache) {
-  RelationOptions options = BaseOptions();
-  options.snapshot_interval = 8;
-  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(std::move(options)));
+TEST(RelationTest, RollbackAfterVacuumMatchesExistenceCount) {
+  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(BaseOptions()));
   std::vector<ElementSurrogate> ids;
   for (int i = 0; i < 60; ++i) {
     ASSERT_OK_AND_ASSIGN(ElementSurrogate id,
@@ -337,17 +315,60 @@ TEST(RelationTest, VacuumRebuildsSnapshotCache) {
   const TimePoint horizon = rel->LastTransactionTime();
   ASSERT_OK_AND_ASSIGN(size_t removed, rel->VacuumBefore(horizon));
   EXPECT_EQ(removed, 20u);
-  // The snapshot cache was rebuilt over the compacted backlog: StateAt
-  // matches a manual scan at stamps after the horizon.
-  ASSERT_NE(rel->snapshots(), nullptr);
+  // Rollback over the compacted store matches a manual scan at stamps
+  // after the horizon.
+  QueryExecutor exec(*rel);
   for (const TimePoint tt : {horizon, TimePoint::FromMicros(horizon.micros() + 1)}) {
     size_t expected = 0;
     for (const Element& e : rel->elements()) {
       if (e.ExistsAt(tt)) ++expected;
     }
-    EXPECT_EQ(rel->StateAt(tt).size(), expected);
+    EXPECT_EQ(exec.Rollback(tt).size(), expected);
     EXPECT_EQ(expected, 40u);
   }
+}
+
+TEST(RelationTest, FailedVacuumLeavesRelationIntact) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs a TEMPSPEC_FAILPOINTS=ON build";
+  }
+  TempDir dir;
+  RelationOptions options = BaseOptions();
+  options.storage.directory = dir.path();
+  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(std::move(options)));
+  ASSERT_OK_AND_ASSIGN(ElementSurrogate dead,
+                       rel->InsertEvent(1, T(900), Tuple{int64_t{1}, 1.0}));
+  ASSERT_OK(rel->InsertEvent(2, T(905), Tuple{int64_t{2}, 2.0}).status());
+  ASSERT_OK(rel->InsertEvent(3, T(910), Tuple{int64_t{3}, 3.0}).status());
+  ASSERT_OK(rel->LogicalDelete(dead));
+  ASSERT_OK(rel->Checkpoint());
+
+  const std::vector<Element> before(rel->elements().begin(),
+                                    rel->elements().end());
+  QueryExecutor exec(*rel);
+  const TimePoint mid = T(1015);
+  const size_t current_before = exec.CurrentSet().size();
+  const size_t rollback_before = exec.RollbackSet(mid).size();
+
+  // Compaction writes its side file page by page: fail the first write.
+  FailpointRegistry::Instance().Arm("disk.write_page",
+                                    FaultSpec{.kind = FaultKind::kCrash});
+  const Result<size_t> vacuumed = rel->VacuumBefore(rel->LastTransactionTime());
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_FALSE(vacuumed.ok());
+
+  // Nothing was moved out of the store: every element, attributes included,
+  // and every read answer as before the failed vacuum.
+  ASSERT_EQ(rel->size(), before.size());
+  for (const Element& e : before) {
+    ASSERT_OK_AND_ASSIGN(Element got, rel->GetElement(e.element_surrogate));
+    EXPECT_EQ(got.tt_begin, e.tt_begin);
+    EXPECT_EQ(got.tt_end, e.tt_end);
+    EXPECT_EQ(got.valid, e.valid);
+    EXPECT_EQ(got.attributes, e.attributes);
+  }
+  EXPECT_EQ(exec.CurrentSet().size(), current_before);
+  EXPECT_EQ(exec.RollbackSet(mid).size(), rollback_before);
 }
 
 TEST(RelationTest, VacuumDurableSurvivesReopen) {

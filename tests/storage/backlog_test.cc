@@ -9,7 +9,6 @@
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/serde.h"
-#include "storage/snapshot.h"
 #include "testing.h"
 
 namespace tempspec {
@@ -226,43 +225,6 @@ TEST(BacklogStoreTest, ReplaceAllSurvivesReopenAndBumpsEpoch) {
   ASSERT_EQ(store->size(), 20u);
   EXPECT_EQ(store->entries().front().element.element_surrogate, 2u);
   EXPECT_EQ(store->entries().back().element.element_surrogate, 50u);
-}
-
-TEST(SnapshotManagerTest, StateMatchesNaiveMaterialization) {
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open({}));
-  SnapshotManager snapshots(store.get(), /*interval=*/10);
-  ElementSurrogate next = 1;
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_OK(store->Append(Insert(i * 10, next, i)));
-    ++next;
-    if (i % 3 == 2) {
-      ASSERT_OK(store->Append(Delete(i * 10 + 5, next - 2)));
-    }
-    snapshots.Refresh();
-  }
-  EXPECT_GT(snapshots.snapshot_count(), 10u);
-  for (int64_t tt : {0, 55, 123, 999, 1995, 100000}) {
-    auto expected = store->MaterializeState(T(tt));
-    auto actual = snapshots.StateAt(T(tt));
-    auto key = [](const Element& e) { return e.element_surrogate; };
-    std::sort(expected.begin(), expected.end(),
-              [&](auto& a, auto& b) { return key(a) < key(b); });
-    std::sort(actual.begin(), actual.end(),
-              [&](auto& a, auto& b) { return key(a) < key(b); });
-    ASSERT_EQ(actual.size(), expected.size()) << "tt=" << tt;
-    for (size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_EQ(actual[i].element_surrogate, expected[i].element_surrogate);
-    }
-  }
-}
-
-TEST(SnapshotManagerTest, QueryBeforeAnySnapshot) {
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open({}));
-  SnapshotManager snapshots(store.get(), 1000);  // interval never reached
-  ASSERT_OK(store->Append(Insert(10, 1, 5)));
-  snapshots.Refresh();
-  EXPECT_EQ(snapshots.StateAt(T(5)).size(), 0u);
-  EXPECT_EQ(snapshots.StateAt(T(10)).size(), 1u);
 }
 
 }  // namespace

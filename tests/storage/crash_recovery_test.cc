@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "query/executor.h"
 #include "relation/temporal_relation.h"
 #include "testing_crash.h"
 #include "util/failpoint.h"
@@ -369,7 +370,7 @@ TEST(CrashRecoveryTest, RelationLevelRecovery) {
     ASSERT_EQ(rel->size(), inserts);
     size_t alive_count = 0;
     for (const auto& [id, is_alive] : alive) alive_count += is_alive ? 1 : 0;
-    ASSERT_EQ(rel->CurrentState().size(), alive_count);
+    ASSERT_EQ(QueryExecutor(*rel).CurrentSet().size(), alive_count);
 
     // Partitions and object order are rebuilt on recovery (regression: they
     // used to come back empty, breaking PartitionOf()/Objects()).
