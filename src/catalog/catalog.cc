@@ -1,10 +1,8 @@
 #include "catalog/catalog.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "lang/ddl.h"
-#include "util/string_util.h"
 
 namespace tempspec {
 
@@ -21,25 +19,6 @@ Status Catalog::SaveSchemas(const std::string& path) const {
     return Status::IOError("write to '", path, "' failed");
   }
   return Status::OK();
-}
-
-Result<size_t> Catalog::LoadSchemas(const std::string& path,
-                                    const RelationOptions& base) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IOError("cannot open '", path, "' for reading");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  // DDL contains no string literals, so top-level ';' splitting is safe.
-  size_t count = 0;
-  for (const std::string& statement : Split(buffer.str(), ';')) {
-    if (Trim(statement).empty()) continue;
-    RelationOptions options = base;
-    TS_RETURN_NOT_OK(CreateRelationFromDdl(statement, options).status());
-    ++count;
-  }
-  return count;
 }
 
 Result<TemporalRelation*> Catalog::CreateRelationFromDdl(const std::string& ddl,

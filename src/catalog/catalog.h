@@ -46,12 +46,6 @@ class Catalog {
   /// per relation, to `path` (the schema-persistence file).
   Status SaveSchemas(const std::string& path) const;
 
-  /// \brief Parses a schema file produced by SaveSchemas (or hand-written)
-  /// and opens every relation, applying `base` for non-declarative options.
-  /// Returns the number of relations registered.
-  Result<size_t> LoadSchemas(const std::string& path,
-                             const RelationOptions& base = {});
-
  private:
   std::map<std::string, std::unique_ptr<TemporalRelation>> relations_;
 };

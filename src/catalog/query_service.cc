@@ -78,18 +78,10 @@ Status QueryService::Open() {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  // DDL contains no string literals, so top-level ';' splitting is safe
-  // (mirrors Catalog::LoadSchemas, which we bypass to give each relation
-  // its own storage directory).
+  // DDL contains no string literals, so top-level ';' splitting is safe.
+  // Each relation reopens on its own storage directory.
   for (const std::string& statement : Split(buffer.str(), ';')) {
-    bool blank = true;
-    for (char c : statement) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) continue;
+    if (Trim(statement).empty()) continue;
     TS_ASSIGN_OR_RETURN(ParsedRelation parsed, ParseCreateRelation(statement));
     const std::string& name = parsed.schema->relation_name();
     RelationOptions base = BaseFor(name);

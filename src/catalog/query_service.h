@@ -17,8 +17,7 @@
 //
 // Open() replays schemas.sql, opening each relation on its own directory —
 // a restart recovers both the schemas and, through the backlog WAL, the
-// data. Catalog::LoadSchemas is not used because it applies one storage
-// directory to every relation.
+// data. This is the only schema loader.
 #ifndef TEMPSPEC_CATALOG_QUERY_SERVICE_H_
 #define TEMPSPEC_CATALOG_QUERY_SERVICE_H_
 

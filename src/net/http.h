@@ -1,11 +1,11 @@
 // Minimal HTTP/1.0-1.1 machinery for the server plane: an incremental,
 // hard-bounded request parser plus a response builder. The parser is
-// deliberately strict and small — it accepts the subset the exporter and
+// deliberately strict and small — it accepts the subset the telemetry and
 // query endpoints need (GET/POST, Content-Length bodies) and rejects
 // everything else with the right 4xx/5xx code instead of guessing. Every
 // buffer it grows is capped by HttpLimits, so a client that streams an
 // unbounded request line or header block is cut off at the limit, not at
-// OOM (the exporter's old inline reader had no such bounds).
+// OOM.
 #ifndef TEMPSPEC_NET_HTTP_H_
 #define TEMPSPEC_NET_HTTP_H_
 

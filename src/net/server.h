@@ -7,8 +7,8 @@
 // with the TSP1 magic is the binary frame protocol (net/frame.h), anything
 // else is HTTP/1.x (net/http.h). The telemetry endpoints (/metrics, /varz,
 // /healthz, /debug/*) and the query endpoint (POST /query) are both plain
-// HTTP handlers registered on the same server, so the exporter and the
-// daemon share a single network stack.
+// HTTP handlers registered on the same server: telemetry and queries share
+// a single network stack.
 //
 // Operational policies, all tunable via ServerOptions:
 //

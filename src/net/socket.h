@@ -1,8 +1,7 @@
 // Thin POSIX socket helpers shared by the network plane: an owning fd
-// wrapper plus the bind/listen/nonblocking plumbing that was previously
-// inlined in obs/exporter.cc. Nothing here knows about HTTP or frames —
-// protocol logic lives in http.h / frame.h, connection lifecycle in
-// server.h.
+// wrapper plus the bind/listen/nonblocking plumbing. Nothing here knows
+// about HTTP or frames — protocol logic lives in http.h / frame.h,
+// connection lifecycle in server.h.
 #ifndef TEMPSPEC_NET_SOCKET_H_
 #define TEMPSPEC_NET_SOCKET_H_
 

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/build_info.h"
-#include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/history.h"
 #include "obs/metrics.h"

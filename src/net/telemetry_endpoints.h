@@ -1,11 +1,15 @@
-// The telemetry endpoint set, registered onto any NetServer: one network
-// stack serves both the query plane and the observability plane.
+// The telemetry endpoint set, registered onto tempspec_serve's NetServer:
+// one network stack serves both the query plane and the observability
+// plane. The page formats live in obs/; this file only serves them.
 //
-//   /metrics       — Prometheus text exposition of the metrics registry
-//   /varz          — {"build":..., "metrics":...} JSON snapshot
-//   /healthz       — "ok" liveness probe
-//   /debug/events  — the flight-recorder ring as JSONL
-//   /debug/traces  — the retained trace spans as JSONL
+//   /metrics          — Prometheus text exposition of the metrics registry
+//                       plus the labeled latency family (obs/metrics.h)
+//   /metrics/history  — the metrics time-series ring as JSONL (obs/history.h)
+//   /varz             — {"build":..., "metrics":...} JSON snapshot
+//   /healthz          — "ok" liveness probe
+//   /debug/events     — the flight-recorder ring as JSONL
+//   /debug/traces     — the retained trace spans as JSONL
+//   /debug/health     — declared SLOs re-evaluated now, as JSON (obs/slo.h)
 //
 // Handlers run on the event-loop thread and only snapshot in-process
 // registries, so they stay responsive even when every worker is busy —

@@ -159,7 +159,7 @@ class FlightRecorder {
   static void InstallCrashHandler(const char* path);
 
   /// \brief InstallCrashHandler(TEMPSPEC_FLIGHT_DUMP) when that env var is
-  /// set (called from TelemetryExporter::MaybeStartFromEnv).
+  /// set (called at tempspec_serve startup).
   static void MaybeInstallFromEnv();
 
  private:

@@ -13,8 +13,8 @@
 // path (at most one Record per *query*, and only for slow ones), so a mutex
 // ring is simpler and keeps entries ordered.
 //
-// Compile-out contract: like the exporter, the class always compiles; the
-// engine call site (query_lang's record hook) is wrapped in
+// Compile-out contract: like the metrics registry, the class always
+// compiles; the engine call site (query_lang's record hook) is wrapped in
 // TS_METRICS_ONLY, so a TEMPSPEC_METRICS=OFF tree never records and the
 // slowlog observes nothing through engine paths.
 #ifndef TEMPSPEC_OBS_SLOWLOG_H_
@@ -84,8 +84,7 @@ class SlowQueryLog {
   void SetCapacity(size_t capacity);
 
   /// \brief Applies TEMPSPEC_SLOWLOG_MICROS / TEMPSPEC_SLOWLOG_PATH /
-  /// TEMPSPEC_SLOWLOG_CAPACITY when set (called by
-  /// TelemetryExporter::MaybeStartFromEnv).
+  /// TEMPSPEC_SLOWLOG_CAPACITY when set (called at tempspec_serve startup).
   void ConfigureFromEnv();
 
   /// \brief Considers one completed span; records it if wall time meets the

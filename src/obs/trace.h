@@ -192,7 +192,7 @@ class RetainedTraces {
   uint64_t sample_every() const;
 
   /// \brief Applies TEMPSPEC_TRACE_CAPACITY / TEMPSPEC_TRACE_SAMPLE when
-  /// set (called by TelemetryExporter::MaybeStartFromEnv).
+  /// set (called at tempspec_serve startup).
   void ConfigureFromEnv();
 
   /// \brief Considers one completed span (ends it if the caller has not)

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-
 #include "testing.h"
 
 namespace tempspec {
@@ -173,37 +169,6 @@ TEST(CatalogTest, DescribeIncludesAdvice) {
   EXPECT_NE(description.find("samples"), std::string::npos);
   EXPECT_NE(description.find("degenerate"), std::string::npos);
   EXPECT_NE(description.find("append-only"), std::string::npos);
-}
-
-TEST(CatalogTest, SchemasSaveAndLoad) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("tempspec_schemas_" + std::to_string(::getpid()) + ".tsql"))
-          .string();
-  {
-    Catalog catalog;
-    SpecializationSet specs;
-    specs.AddEvent(
-        EventSpecialization::DelayedRetroactive(Duration::Seconds(30)).ValueOrDie());
-    specs.AddOrdering(OrderingSpec(OrderingKind::kNonDecreasing));
-    ASSERT_OK(catalog.CreateRelation(Options("feed", std::move(specs))).status());
-    ASSERT_OK(catalog.CreateRelation(Options("audit")).status());
-    ASSERT_OK(catalog.SaveSchemas(path));
-  }
-  Catalog reloaded;
-  RelationOptions base;
-  base.clock = std::make_shared<LogicalClock>(T(0), Duration::Seconds(1));
-  ASSERT_OK_AND_ASSIGN(size_t n, reloaded.LoadSchemas(path, base));
-  EXPECT_EQ(n, 2u);
-  ASSERT_OK_AND_ASSIGN(TemporalRelation * feed, reloaded.Get("feed"));
-  ASSERT_EQ(feed->specializations().event_specs().size(), 1u);
-  EXPECT_EQ(feed->specializations().event_specs()[0].kind(),
-            EventSpecKind::kDelayedRetroactive);
-  EXPECT_EQ(feed->specializations().orderings().size(), 1u);
-  // The reloaded relation enforces the reloaded declaration.
-  EXPECT_FALSE(feed->InsertEvent(1, T(100), Tuple{int64_t{1}}).ok());
-  std::filesystem::remove(path);
-  EXPECT_FALSE(reloaded.LoadSchemas("/nonexistent/file").ok());
 }
 
 TEST(CatalogTest, AdviseForRegisteredRelation) {

@@ -25,6 +25,10 @@ constexpr char kCreate[] =
     "CREATE EVENT RELATION readings (sensor INT64 KEY, celsius DOUBLE) "
     "GRANULARITY 1s";
 
+constexpr char kCreateDeclared[] =
+    "CREATE EVENT RELATION feed (id INT64 KEY) "
+    "WITH DELAYED RETROACTIVE 30s, NONDECREASING";
+
 TEST(QueryServiceTest, InMemoryLifecycle) {
   QueryService service{QueryServiceOptions{}};
   ASSERT_OK(service.Open());
@@ -55,6 +59,7 @@ TEST(QueryServiceTest, PersistsSchemasAndDataAcrossReopen) {
     QueryService service(options);
     ASSERT_OK(service.Open());
     ASSERT_OK(service.Execute(kCreate, nullptr).status());
+    ASSERT_OK(service.Execute(kCreateDeclared, nullptr).status());
     ASSERT_OK(service
                   .Execute(
                       "INSERT INTO readings OBJECT 3 VALUES (3, 21.5) "
@@ -69,7 +74,7 @@ TEST(QueryServiceTest, PersistsSchemasAndDataAcrossReopen) {
   {
     QueryService reopened(options);
     ASSERT_OK(reopened.Open());
-    ASSERT_EQ(reopened.RelationNames().size(), 1u);
+    ASSERT_EQ(reopened.RelationNames().size(), 2u);
     ASSERT_OK_AND_ASSIGN(std::string current,
                          reopened.Execute("CURRENT readings", nullptr));
     EXPECT_NE(current.find("1 element(s)"), std::string::npos) << current;
@@ -80,6 +85,24 @@ TEST(QueryServiceTest, PersistsSchemasAndDataAcrossReopen) {
                       "VALID AT '1992-02-03 11:00:00'",
                       nullptr)
                   .status());
+    // The declared specializations come back with the schema...
+    ASSERT_OK_AND_ASSIGN(TemporalRelation * feed,
+                         reopened.catalog().Get("feed"));
+    ASSERT_EQ(feed->specializations().event_specs().size(), 1u);
+    EXPECT_EQ(feed->specializations().event_specs()[0].kind(),
+              EventSpecKind::kDelayedRetroactive);
+    EXPECT_EQ(feed->specializations().orderings().size(), 1u);
+    // ...and the reloaded relation enforces them: a fact valid after it is
+    // stored is not delayed retroactive.
+    EXPECT_FALSE(reopened
+                     .Execute(
+                         "INSERT INTO feed OBJECT 1 VALUES (1) "
+                         "VALID AT '2999-01-01 00:00:00'",
+                         nullptr)
+                     .ok());
+    ASSERT_OK_AND_ASSIGN(std::string feed_rows,
+                         reopened.Execute("CURRENT feed", nullptr));
+    EXPECT_NE(feed_rows.find("0 element(s)"), std::string::npos) << feed_rows;
   }
   std::filesystem::remove_all(dir);
 }

@@ -4,9 +4,10 @@
 #include <map>
 #include <set>
 
-#include "index/append_index.h"
 #include "index/btree.h"
 #include "index/interval_index.h"
+#include "query/kernels.h"
+#include "relation/stamp_store.h"
 #include "testing.h"
 #include "util/random.h"
 
@@ -154,35 +155,60 @@ TEST(IntervalIndexPropertyTest, MatchesLinearScan) {
   }
 }
 
-TEST(AppendIndexTest, AppendAndRange) {
-  AppendOnlyIndex index;
-  ASSERT_OK(index.Append(T(10), 1));
-  ASSERT_OK(index.Append(T(20), 2));
-  ASSERT_OK(index.Append(T(20), 3));  // duplicates allowed
-  ASSERT_OK(index.Append(T(30), 4));
-  EXPECT_EQ(index.Range(T(15), T(25)), (std::vector<uint64_t>{2, 3}));
-  EXPECT_EQ(index.Lookup(T(20)).size(), 2u);
-  EXPECT_TRUE(index.Range(T(31), T(40)).empty());
-  EXPECT_TRUE(index.Range(T(25), T(15)).empty());  // inverted range
+// The transaction-time index is the StampStore's tt_start column: sorted
+// by construction, searched with MonotoneBounds (half-open [lo, hi) key
+// ranges) and StoredBy (the as-of prefix).
+
+TEST(MonotoneIndexTest, RangesOverDuplicateKeys) {
+  const std::vector<int64_t> keys = {10, 20, 20, 30};
+  auto bounds = [&](int64_t lo, int64_t hi) {
+    return MonotoneBounds(keys.data(), keys.size(), lo, hi);
+  };
+  using Range = std::pair<size_t, size_t>;
+  EXPECT_EQ(bounds(15, 26), Range(1, 3));  // both duplicates
+  EXPECT_EQ(bounds(20, 21), Range(1, 3));  // exact-key lookup
+  EXPECT_EQ(bounds(10, 31), Range(0, 4));
+  EXPECT_EQ(bounds(20, 30), Range(1, 3));  // hi is exclusive
+  // Empty results: past the end, before the start, inverted, and hi == lo.
+  const auto empty = [](Range r) { return r.first >= r.second; };
+  EXPECT_TRUE(empty(bounds(31, 40)));
+  EXPECT_TRUE(empty(bounds(0, 10)));
+  EXPECT_TRUE(empty(bounds(25, 15)));
+  EXPECT_TRUE(empty(bounds(20, 20)));
+  EXPECT_TRUE(empty(MonotoneBounds(keys.data(), 0, 0, 100)));
 }
 
-TEST(AppendIndexTest, RejectsOutOfOrder) {
-  AppendOnlyIndex index;
-  ASSERT_OK(index.Append(T(10), 1));
-  EXPECT_TRUE(index.Append(T(5), 2).IsInvalidArgument());
-  // The violating append left no trace.
-  EXPECT_EQ(index.size(), 1u);
-  ASSERT_OK(index.Append(T(10), 3));  // equal keys fine
+TEST(MonotoneIndexTest, LowerAndUpperBounds) {
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < 100; ++i) keys.push_back(i * 2);
+  // first: lower bound of lo; second: lower bound of hi, so [lo, hi + 1)
+  // ends at the upper bound of hi.
+  EXPECT_EQ(MonotoneBounds(keys.data(), keys.size(), 10, 11).first, 5u);
+  EXPECT_EQ(MonotoneBounds(keys.data(), keys.size(), 11, 12).first, 6u);
+  EXPECT_EQ(MonotoneBounds(keys.data(), keys.size(), 10, 11).second, 6u);
+  EXPECT_EQ(MonotoneBounds(keys.data(), keys.size(), 0, 199).second, 100u);
+  EXPECT_EQ(MonotoneBounds(keys.data(), keys.size(), 198, 199),
+            std::make_pair(size_t{99}, size_t{100}));
 }
 
-TEST(AppendIndexTest, Bounds) {
-  AppendOnlyIndex index;
-  for (int i = 0; i < 100; ++i) ASSERT_OK(index.Append(T(i * 2), i));
-  EXPECT_EQ(index.LowerBound(T(10)), 5u);
-  EXPECT_EQ(index.LowerBound(T(11)), 6u);
-  EXPECT_EQ(index.UpperBound(T(10)), 6u);
-  EXPECT_EQ(index.KeyAt(5), T(10));
-  EXPECT_EQ(index.ValueAt(5), 5u);
+TEST(MonotoneIndexTest, StoredByIsTheTransactionTimePrefix) {
+  StampStore store;
+  EXPECT_EQ(store.StoredBy(T(0)), 0u);
+  EXPECT_EQ(store.StoredBy(TimePoint::Max()), 0u);
+  // Transaction stamps arrive in non-decreasing order; 20 is stored twice.
+  for (const int64_t tt : {10, 20, 20, 30}) {
+    Element e;
+    e.tt_begin = T(tt);
+    e.valid = ValidTime::Event(T(tt));
+    store.Append(e);
+  }
+  EXPECT_EQ(store.StoredBy(T(9)), 0u);  // before the first row
+  EXPECT_EQ(store.StoredBy(T(10)), 1u);
+  EXPECT_EQ(store.StoredBy(T(19)), 1u);
+  EXPECT_EQ(store.StoredBy(T(20)), 3u);  // includes every duplicate
+  EXPECT_EQ(store.StoredBy(T(30)), 4u);
+  EXPECT_EQ(store.StoredBy(TimePoint::Max()), 4u);
+  EXPECT_EQ(store.StoredBy(TimePoint::Min()), 0u);
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -218,6 +220,92 @@ TEST(ServerCrashTest, FatalSignalDumpsFlightRecorderThatValidates) {
                             "/check_flight_json.py --min-events 1 " +
                             dump_path;
   EXPECT_EQ(std::system(check.c_str()), 0) << check;
+}
+
+/// Forks tempspec_serve with `args` (plus "KEY=VALUE" `env` entries in the
+/// child only) and its stderr redirected to `stderr_path`.
+pid_t SpawnServe(const std::vector<std::string>& args,
+                 const std::vector<std::string>& env,
+                 const std::string& stderr_path) {
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  for (const std::string& kv : env) {
+    const size_t eq = kv.find('=');
+    ::setenv(kv.substr(0, eq).c_str(), kv.substr(eq + 1).c_str(), 1);
+  }
+  if (std::freopen(stderr_path.c_str(), "w", stderr) == nullptr) _exit(126);
+  std::vector<char*> argv = {const_cast<char*>(TEMPSPEC_SERVE_BIN)};
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  ::execv(TEMPSPEC_SERVE_BIN, argv.data());
+  _exit(127);  // exec failed
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ServeFlagsTest, RejectsMalformedNumericFlags) {
+  struct Case {
+    std::vector<std::string> args;
+    std::vector<std::string> env;
+  };
+  const std::vector<Case> cases = {
+      {{"--port=70000"}, {}},
+      {{"--port=abc"}, {}},
+      {{"--port=0", "--workers=2x"}, {}},
+      {{"--port=0", "--max-inflight=0"}, {}},
+      {{}, {"TEMPSPEC_SERVE_PORT=99999"}},
+  };
+  for (const Case& c : cases) {
+    const std::string label = c.args.empty() ? c.env.front() : c.args.back();
+    const std::string dir = MakeTempDir();
+    ASSERT_FALSE(dir.empty());
+    const std::string portfile = dir + "/.portfile";
+    std::vector<std::string> args = c.args;
+    args.push_back("--portfile=" + portfile);
+    const pid_t pid = SpawnServe(args, c.env, dir + "/stderr");
+    ASSERT_GT(pid, 0);
+    int wstatus = 0;
+    const bool exited =
+        WaitFor([&] { return ::waitpid(pid, &wstatus, WNOHANG) == pid; },
+                std::chrono::seconds(5));
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &wstatus, 0);
+    }
+    EXPECT_TRUE(exited) << label << ": the daemon started instead of exiting";
+    EXPECT_TRUE(exited && WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 2)
+        << label << ": wait status " << wstatus;
+    EXPECT_FALSE(std::filesystem::exists(portfile))
+        << label << ": a rejected configuration must never bind";
+    EXPECT_NE(ReadFile(dir + "/stderr").find("usage:"), std::string::npos)
+        << label;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(ServeFlagsTest, AcceptsZeroValuedFlags) {
+  // The zero values the benchmark, simulator and smoke scripts pass.
+  const std::string dir = MakeTempDir();
+  ASSERT_FALSE(dir.empty());
+  const std::string portfile = dir + "/.portfile";
+  const pid_t pid = SpawnServe(
+      {"--port=0", "--default-deadline-ms=0", "--max-deadline-ms=0",
+       "--history-ms=0", "--portfile=" + portfile},
+      {"TEMPSPEC_SERVE_MAX_INFLIGHT=1"}, dir + "/stderr");
+  ASSERT_GT(pid, 0);
+  const bool bound = WaitFor([&] {
+    std::ifstream in(portfile);
+    int port = 0;
+    return static_cast<bool>(in >> port) && port > 0;
+  });
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  EXPECT_TRUE(bound) << ReadFile(dir + "/stderr");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

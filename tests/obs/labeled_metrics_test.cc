@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 
 namespace tempspec {

@@ -3,9 +3,9 @@
 
 Usage:
     tools/check_metrics_text.py metrics.txt [more.txt ...]
-    curl -s localhost:9464/metrics | tools/check_metrics_text.py -
+    curl -s localhost:7437/metrics | tools/check_metrics_text.py -
 
-Checks the subset of the exposition grammar the exporter emits:
+Checks the subset of the exposition grammar /metrics emits:
   * metric names match [a-zA-Z_:][a-zA-Z0-9_:]* (labels: [a-zA-Z_][a-zA-Z0-9_]*);
   * every sample line parses as `name[{labels}] value` with a finite value;
   * every sample is preceded by a # HELP and a # TYPE comment for its metric

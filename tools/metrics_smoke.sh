@@ -1,42 +1,41 @@
 #!/usr/bin/env bash
-# Smoke check for the live telemetry plane: start the ddl_tour example with
-# the exporter enabled, scrape /healthz, /metrics, /varz, /debug/events,
-# /debug/traces, /debug/health, and /metrics/history over HTTP, and validate
-# the Prometheus text with tools/check_metrics_text.py (including the
-# labeled tempspec_query_latency series), the flight events with
+# Smoke check for the live telemetry plane: start tempspec_serve on an
+# ephemeral port with a fresh data dir, run a few statements over POST
+# /query, then scrape /healthz, /metrics, /varz, /debug/events,
+# /debug/traces, /debug/health, and /metrics/history off the same port and
+# validate the Prometheus text with tools/check_metrics_text.py (including
+# the labeled tempspec_query_latency series), the flight events with
 # tools/check_flight_json.py, and the health plane with
 # tools/check_health_json.py. This proves the whole chain — engine
-# instrumentation -> registry -> exporter -> valid exposition — on a real
+# instrumentation -> registry -> server -> valid exposition — on a real
 # process, not a unit-test snapshot.
 #
 # Usage: tools/metrics_smoke.sh [build_dir]   (default: build)
 set -u
 
 BUILD_DIR="${1:-build}"
-TOUR="$BUILD_DIR/examples/ddl_tour"
+SERVE="$BUILD_DIR/tools/tempspec_serve"
 CHECKER="$(dirname "$0")/check_metrics_text.py"
 
-if [ ! -x "$TOUR" ]; then
-  echo "no ddl_tour binary at $TOUR (build with the default CMake config first)" >&2
+if [ ! -x "$SERVE" ]; then
+  echo "no tempspec_serve binary at $SERVE (build with the default CMake config first)" >&2
   exit 2
 fi
 
 OUT_DIR="$(mktemp -d)"
 PORT_FILE="$OUT_DIR/port"
 cleanup() {
-  [ -n "${TOUR_PID:-}" ] && kill "$TOUR_PID" 2>/dev/null
+  [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null
   rm -rf "$OUT_DIR"
 }
 trap cleanup EXIT
 
-# Port 0 = ephemeral; the exporter writes the resolved port to PORTFILE.
-# The linger keeps the finished tour alive long enough to scrape.
-TEMPSPEC_EXPORTER_PORT=0 \
-TEMPSPEC_EXPORTER_PORTFILE="$PORT_FILE" \
-TEMPSPEC_EXPORTER_LINGER_MS=30000 \
+# Port 0 = ephemeral; the daemon writes the resolved port to PORT_FILE. A
+# zero slow-query threshold retains every statement in the slowlog.
 TEMPSPEC_SLOWLOG_MICROS=0 \
-    "$TOUR" > "$OUT_DIR/tour.out" 2>&1 &
-TOUR_PID=$!
+    "$SERVE" --port=0 --portfile="$PORT_FILE" --data-dir="$OUT_DIR/data" \
+    > "$OUT_DIR/serve.out" 2>&1 &
+SERVE_PID=$!
 
 port=""
 for _ in $(seq 1 100); do
@@ -44,17 +43,31 @@ for _ in $(seq 1 100); do
     port="$(cat "$PORT_FILE")"
     break
   fi
-  if ! kill -0 "$TOUR_PID" 2>/dev/null; then
-    echo "ddl_tour exited before binding the exporter:" >&2
-    cat "$OUT_DIR/tour.out" >&2
+  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+    echo "tempspec_serve exited before binding:" >&2
+    cat "$OUT_DIR/serve.out" >&2
     exit 1
   fi
   sleep 0.1
 done
 if [ -z "$port" ]; then
-  echo "exporter never wrote its port file" >&2
+  echo "tempspec_serve never wrote its port file" >&2
   exit 1
 fi
+
+# A few statements so the engine counters and the labeled latency family
+# have something to show.
+for statement in \
+    "CREATE EVENT RELATION smoke_samples (sensor INT64 KEY, kelvin DOUBLE) GRANULARITY 1s" \
+    "INSERT INTO smoke_samples OBJECT 1 VALUES (1, 550.0) VALID AT '1992-02-05 00:00:00'" \
+    "INSERT INTO smoke_samples OBJECT 1 VALUES (1, 551.0) VALID AT '1992-02-05 00:00:10'" \
+    "TIMESLICE smoke_samples AT '1992-02-05 00:00:10'"; do
+  if ! curl -sf -X POST --data-binary "$statement" \
+      "http://127.0.0.1:$port/query" > /dev/null; then
+    echo "POST /query failed: $statement" >&2
+    exit 1
+  fi
+done
 
 failures=0
 
@@ -71,8 +84,8 @@ if ! curl -sf "http://127.0.0.1:$port/metrics" -o "$OUT_DIR/metrics.txt"; then
   failures=$((failures + 1))
 else
   python3 "$CHECKER" "$OUT_DIR/metrics.txt" || failures=$((failures + 1))
-  # The tour executed statements, so the engine's own counters must be there
-  # (guards against an exporter that serves an empty-but-valid page).
+  # Statements ran, so the engine's own counters must be there (guards
+  # against a server that serves an empty-but-valid page).
   if ! grep -q "^querylang_statements " "$OUT_DIR/metrics.txt"; then
     echo "/metrics: FAIL: no querylang_statements sample in the scrape"
     failures=$((failures + 1))
@@ -117,8 +130,8 @@ print('/debug/traces: OK')" "$OUT_DIR/traces.jsonl"; then
   failures=$((failures + 1))
 fi
 
-# The health plane: the tour declares no SLOs (an empty verdict list is
-# valid) but its statements must have produced labeled latency series.
+# The health plane: no SLOs are declared (an empty verdict list is valid)
+# but the statements must have produced labeled latency series.
 if ! curl -sf "http://127.0.0.1:$port/debug/health" -o "$OUT_DIR/health.json"; then
   echo "/debug/health: FAIL: curl error"
   failures=$((failures + 1))
@@ -127,7 +140,7 @@ else
     "$OUT_DIR/health.json" || failures=$((failures + 1))
 fi
 
-# No sampler runs in the tour, so the history ring is legitimately empty;
+# No sampler runs (no --history-ms), so the ring is legitimately empty;
 # the checker still gates the JSONL schema of whatever is served.
 if ! curl -sf "http://127.0.0.1:$port/metrics/history" -o "$OUT_DIR/history.jsonl"; then
   echo "/metrics/history: FAIL: curl error"
@@ -137,11 +150,12 @@ else
     "$OUT_DIR/history.jsonl" || failures=$((failures + 1))
 fi
 
-kill "$TOUR_PID" 2>/dev/null
-wait "$TOUR_PID" 2>/dev/null
+kill "$SERVE_PID" 2>/dev/null
+wait "$SERVE_PID" 2>/dev/null
+SERVE_PID=""
 
 if [ $failures -ne 0 ]; then
   echo "metrics smoke: $failures failure(s)"
   exit 1
 fi
-echo "metrics smoke: exporter served valid /metrics, /varz, /healthz, /debug, and health-plane pages"
+echo "metrics smoke: tempspec_serve served valid /metrics, /varz, /healthz, /debug, and health-plane pages"

@@ -13,13 +13,13 @@
 // so killing the daemon and restarting it recovers both schemas and data
 // through the WAL.
 //
-// Flags (each with a TEMPSPEC_SERVE_* environment fallback):
+// Flags (most with a TEMPSPEC_SERVE_* environment fallback; a flag wins):
 //   --addr=A                bind address        (TEMPSPEC_SERVE_ADDR, 127.0.0.1)
 //   --port=N                port, 0 = ephemeral (TEMPSPEC_SERVE_PORT, 7437)
 //   --data-dir=D            persistence root    (TEMPSPEC_SERVE_DATA_DIR,
 //                                                empty = in-memory)
 //   --portfile=P            write the bound port here (TEMPSPEC_SERVE_PORTFILE)
-//   --max-inflight=N        admission-control cap     (TEMPSPEC_SERVE_MAX_INFLIGHT)
+//   --max-inflight=N        admission cap, >= 1 (TEMPSPEC_SERVE_MAX_INFLIGHT)
 //   --workers=N             statement worker threads  (TEMPSPEC_SERVE_WORKERS)
 //   --default-deadline-ms=N applied when a request has none, 0 = unlimited
 //   --max-deadline-ms=N     clamp for client deadlines, 0 = no clamp
@@ -31,11 +31,16 @@
 //                           (TEMPSPEC_SERVE_SLO); surfaced via
 //                           /debug/health and SHOW HEALTH
 //
+// Numeric values, from a flag or the environment, are plain unsigned
+// decimals: a sign, a suffix, an overflow, a port above 65535 or a zero
+// --max-inflight prints the usage text and exits with status 2.
+//
 // SIGINT/SIGTERM stop the daemon gracefully: in-flight statements are
 // cancelled through their deadlines' TraceContexts, completions drain, and
 // the storage layer is left consistent. TEMPSPEC_FLIGHT_DUMP=path installs
 // the fatal-signal flight-recorder dump (obs/flight_recorder.h), so even a
 // crash leaves a black-box trace behind.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -64,16 +69,16 @@ const char* EnvOr(const char* name, const char* fallback) {
   return (v != nullptr && *v != '\0') ? v : fallback;
 }
 
-uint64_t ParseU64Or(const char* text, uint64_t fallback) {
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  return end == text ? fallback : static_cast<uint64_t>(parsed);
+// Strict unsigned decimal: digits only, the whole string, no overflow.
+bool ParseU64(const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 struct ServeConfig {
   std::string addr = "127.0.0.1";
-  uint16_t port = 7437;
+  uint64_t port = 7437;
   std::string data_dir;
   std::string portfile;
   uint64_t max_inflight = 8;
@@ -82,6 +87,22 @@ struct ServeConfig {
   uint64_t max_deadline_ms = 60 * 1000;
   uint64_t history_ms = 0;
   std::string slo_spec;
+};
+
+// Every numeric flag, with its environment fallback where it has one.
+struct NumericFlag {
+  const char* flag;
+  const char* env;
+  uint64_t ServeConfig::*field;
+};
+constexpr NumericFlag kNumericFlags[] = {
+    {"--port", "TEMPSPEC_SERVE_PORT", &ServeConfig::port},
+    {"--max-inflight", "TEMPSPEC_SERVE_MAX_INFLIGHT",
+     &ServeConfig::max_inflight},
+    {"--workers", "TEMPSPEC_SERVE_WORKERS", &ServeConfig::workers},
+    {"--default-deadline-ms", nullptr, &ServeConfig::default_deadline_ms},
+    {"--max-deadline-ms", nullptr, &ServeConfig::max_deadline_ms},
+    {"--history-ms", "TEMPSPEC_SERVE_HISTORY_MS", &ServeConfig::history_ms},
 };
 
 void Usage(const char* argv0) {
@@ -96,17 +117,18 @@ void Usage(const char* argv0) {
 
 bool ParseArgs(int argc, char** argv, ServeConfig* config) {
   config->addr = EnvOr("TEMPSPEC_SERVE_ADDR", config->addr.c_str());
-  config->port = static_cast<uint16_t>(
-      ParseU64Or(std::getenv("TEMPSPEC_SERVE_PORT"), config->port));
   config->data_dir = EnvOr("TEMPSPEC_SERVE_DATA_DIR", "");
   config->portfile = EnvOr("TEMPSPEC_SERVE_PORTFILE", "");
-  config->max_inflight = ParseU64Or(
-      std::getenv("TEMPSPEC_SERVE_MAX_INFLIGHT"), config->max_inflight);
-  config->workers =
-      ParseU64Or(std::getenv("TEMPSPEC_SERVE_WORKERS"), config->workers);
-  config->history_ms = ParseU64Or(std::getenv("TEMPSPEC_SERVE_HISTORY_MS"),
-                                  config->history_ms);
   config->slo_spec = EnvOr("TEMPSPEC_SERVE_SLO", "");
+  for (const NumericFlag& f : kNumericFlags) {
+    const char* env = f.env == nullptr ? nullptr : EnvOr(f.env, nullptr);
+    if (env != nullptr && !ParseU64(env, &(config->*f.field))) {
+      std::fprintf(stderr, "bad %s '%s': expected an unsigned integer\n",
+                   f.env, env);
+      Usage(argv[0]);
+      return false;
+    }
+  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -114,24 +136,23 @@ bool ParseArgs(int argc, char** argv, ServeConfig* config) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--addr") {
+    const NumericFlag* numeric = nullptr;
+    for (const NumericFlag& f : kNumericFlags) {
+      if (key == f.flag) numeric = &f;
+    }
+    if (numeric != nullptr) {
+      if (!ParseU64(value, &(config->*numeric->field))) {
+        std::fprintf(stderr, "bad %s '%s': expected an unsigned integer\n",
+                     key.c_str(), value.c_str());
+        Usage(argv[0]);
+        return false;
+      }
+    } else if (key == "--addr") {
       config->addr = value;
-    } else if (key == "--port") {
-      config->port = static_cast<uint16_t>(ParseU64Or(value.c_str(), 0));
     } else if (key == "--data-dir") {
       config->data_dir = value;
     } else if (key == "--portfile") {
       config->portfile = value;
-    } else if (key == "--max-inflight") {
-      config->max_inflight = ParseU64Or(value.c_str(), 8);
-    } else if (key == "--workers") {
-      config->workers = ParseU64Or(value.c_str(), 2);
-    } else if (key == "--default-deadline-ms") {
-      config->default_deadline_ms = ParseU64Or(value.c_str(), 0);
-    } else if (key == "--max-deadline-ms") {
-      config->max_deadline_ms = ParseU64Or(value.c_str(), 0);
-    } else if (key == "--history-ms") {
-      config->history_ms = ParseU64Or(value.c_str(), 0);
     } else if (key == "--slo") {
       config->slo_spec = value;
     } else if (key == "--help" || key == "-h") {
@@ -142,6 +163,13 @@ bool ParseArgs(int argc, char** argv, ServeConfig* config) {
       Usage(argv[0]);
       return false;
     }
+  }
+  if (config->port > 65535 || config->max_inflight == 0) {
+    std::fprintf(stderr, "%s\n",
+                 config->port > 65535 ? "port must be at most 65535"
+                                      : "max-inflight must be at least 1");
+    Usage(argv[0]);
+    return false;
   }
   return true;
 }
@@ -187,7 +215,7 @@ int main(int argc, char** argv) {
 
   tempspec::ServerOptions server_options;
   server_options.bind_address = config.addr;
-  server_options.port = config.port;
+  server_options.port = static_cast<uint16_t>(config.port);
   server_options.max_inflight = static_cast<size_t>(config.max_inflight);
   server_options.worker_threads = static_cast<size_t>(config.workers);
   server_options.default_deadline_ms = config.default_deadline_ms;
