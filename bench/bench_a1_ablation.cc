@@ -6,8 +6,9 @@
 //  (b) Index for monotone stamps: the general B+tree vs the sorted column
 //      plus binary search (MonotoneBounds) the engine uses for transaction
 //      time and for declared non-decreasing/sequential valid time.
-//  (c) Interval-index delta buffer: stab cost right after inserts (delta
-//      populated) vs after Compact().
+//  (c) Interval-index layout: stab cost on the engine's logarithmic layout
+//      (binary-counter runs plus an unsorted tail of at most 64 entries)
+//      vs the same entries Compact()ed into one run.
 #include "bench_common.h"
 #include "index/btree.h"
 #include "index/interval_index.h"
@@ -89,7 +90,7 @@ void BM_MonotoneIndex_SortedColumn(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) interval-index delta buffer vs compacted core
+// (c) interval-index runs + tail vs one compacted run
 // ---------------------------------------------------------------------------
 
 IntervalIndex BuildIntervalIndex(int64_t n, uint64_t seed) {
@@ -104,27 +105,34 @@ IntervalIndex BuildIntervalIndex(int64_t n, uint64_t seed) {
   return index;
 }
 
-void BM_IntervalIndex_StabWithDelta(benchmark::State& state) {
-  IntervalIndex index = BuildIntervalIndex(state.range(0), 7);
+void StabLoop(benchmark::State& state, const IntervalIndex& index) {
   Random rng(11);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         index.Stab(TimePoint::FromMicros(rng.Uniform(0, 1'000'000))));
   }
-  state.counters["delta_size"] =
-      benchmark::Counter(static_cast<double>(index.delta_size()));
+  state.counters["runs"] =
+      benchmark::Counter(static_cast<double>(index.run_count()));
+  state.counters["tail_size"] =
+      benchmark::Counter(static_cast<double>(index.tail_size()));
+}
+
+void BM_IntervalIndex_StabRunsAndTail(benchmark::State& state) {
+  StabLoop(state, BuildIntervalIndex(state.range(0), 7));
 }
 
 void BM_IntervalIndex_StabCompacted(benchmark::State& state) {
   IntervalIndex index = BuildIntervalIndex(state.range(0), 7);
   index.Compact();
-  Random rng(11);
+  StabLoop(state, index);
+}
+
+// Insert cost of the layout: the merges every 64 inserts, amortized.
+void BM_IntervalIndex_Build(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index.Stab(TimePoint::FromMicros(rng.Uniform(0, 1'000'000))));
+    benchmark::DoNotOptimize(BuildIntervalIndex(state.range(0), 7));
   }
-  state.counters["delta_size"] =
-      benchmark::Counter(static_cast<double>(index.delta_size()));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 }  // namespace
@@ -133,7 +141,8 @@ BENCHMARK(BM_Enforcement_OnlineCheckers)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_Enforcement_BatchReverify)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_MonotoneIndex_BTree)->Arg(65536);
 BENCHMARK(BM_MonotoneIndex_SortedColumn)->Arg(65536);
-BENCHMARK(BM_IntervalIndex_StabWithDelta)->Arg(65536);
-BENCHMARK(BM_IntervalIndex_StabCompacted)->Arg(65536);
+BENCHMARK(BM_IntervalIndex_StabRunsAndTail)->Arg(65535)->Arg(200000);
+BENCHMARK(BM_IntervalIndex_StabCompacted)->Arg(65535)->Arg(200000);
+BENCHMARK(BM_IntervalIndex_Build)->Arg(200000);
 
 TEMPSPEC_BENCH_MAIN("a1_ablation");

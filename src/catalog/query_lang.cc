@@ -3,6 +3,7 @@
 #include <cctype>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "obs/flight_recorder.h"
@@ -420,10 +421,19 @@ void ObserveLabeledLatency(const std::string& relation, std::string kind,
 }
 #endif  // TEMPSPEC_METRICS
 
-/// The optimizer's choice as a plan line: strategy, kernel, rationale.
-std::string DescribePlan(const PlanChoice& plan) {
-  return std::string(ExecutionStrategyToString(plan.strategy)) + " [kernel " +
-         ScanKernelToToken(plan.kernel) + "] — " + plan.rationale;
+/// The optimizer's choice as a plan line: strategy, kernel, rationale, and
+/// the exact candidate count the executor weighs — the range's rows, which
+/// are also the valid-index probe's budget when the plan is a cost choice.
+/// Both depend only on the stored rows, so the line is deterministic.
+std::string DescribePlan(const PlanChoice& plan, size_t range_rows) {
+  std::string line = std::string(ExecutionStrategyToString(plan.strategy)) +
+                     " [kernel " + ScanKernelToToken(plan.kernel) + "] — " +
+                     plan.rationale + "; candidate range " +
+                     std::to_string(range_rows) + " row(s)";
+  if (plan.choose_by_cost) {
+    line += ", valid-index probe budget " + std::to_string(range_rows);
+  }
+  return line;
 }
 
 /// The transaction-time prefix an as-of read is cut to: the executor scans
@@ -547,16 +557,22 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     TS_ASSIGN_OR_RETURN(TimePoint vt, cur.TimeLiteral());
     TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
     out.relation = name;
-    QueryExecutor exec(*rel, exec_options);
-    const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
-    out.plan_description = DescribePlan(plan);
+    std::optional<TimePoint> as_of;
     if (cur.TryWord("AS")) {
       TS_RETURN_NOT_OK(cur.ExpectWord("OF"));
-      TS_ASSIGN_OR_RETURN(TimePoint tt, cur.TimeLiteral());
+      TS_ASSIGN_OR_RETURN(as_of, cur.TimeLiteral());
+    }
+    QueryExecutor exec(*rel, exec_options);
+    const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
+    const TimePoint vt_end = TimePoint::FromMicros(vt.micros() + 1);
+    out.plan_description =
+        DescribePlan(plan, exec.CandidateRows(plan, vt, vt_end, as_of));
+    if (as_of.has_value()) {
+      out.plan_description +=
+          "; as of " + as_of->ToString() + ", " + AsOfBound(*as_of);
       if (!out.explain_only) {
-        out.elements = exec.TimesliceAsOfWith(plan, vt, tt, &out.stats);
+        out.elements = exec.TimesliceAsOfWith(plan, vt, *as_of, &out.stats);
       }
-      out.plan_description += "; as of " + tt.ToString() + ", " + AsOfBound(tt);
     } else if (!out.explain_only) {
       out.elements = exec.TimesliceWith(plan, vt, &out.stats);
     }
@@ -573,10 +589,11 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     out.relation = name;
     QueryExecutor exec(*rel, exec_options);
     const PlanChoice plan = exec.optimizer().PlanValidRange(lo, hi);
+    out.plan_description =
+        DescribePlan(plan, exec.CandidateRows(plan, lo, hi, std::nullopt));
     if (!out.explain_only) {
       out.elements = exec.ValidRangeWith(plan, lo, hi, &out.stats);
     }
-    out.plan_description = DescribePlan(plan);
   } else {
     return Status::InvalidArgument(
         "unknown query verb '", verb,

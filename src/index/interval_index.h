@@ -1,16 +1,18 @@
 // Valid-time interval index: stabbing and overlap queries.
 //
-// Implemented as an implicit augmented binary structure over an array of
-// intervals sorted by begin point, where every prefix position carries the
-// maximum end seen in its subtree — giving O(log n + k) stabbing queries.
-// Inserts go to a small unsorted delta buffer (scanned linearly) that is
-// merged into the sorted core once it grows past a fraction of the core, so
-// amortized insertion stays O(log n)-ish without a full dynamic tree.
+// A logarithmic (Bentley–Saxe) structure. Inserts land in an unsorted tail
+// of at most kTailCapacity entries. A full tail is sorted into a run, and
+// every run no larger than it is merged into it, so run sizes follow the
+// binary digits of insert count / kTailCapacity: at most log2(n / 64) runs,
+// each sorted by begin with an implicit max-end tree, giving O(log^2 n + k)
+// overlap queries and O(log n) amortized inserts. The layout is a function
+// of the insert count alone, so a relation rebuilt by recovery probes (and
+// counts its probe work) exactly like one that never restarted.
 #ifndef TEMPSPEC_INDEX_INTERVAL_INDEX_H_
 #define TEMPSPEC_INDEX_INTERVAL_INDEX_H_
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <vector>
 
 #include "timex/interval.h"
@@ -25,6 +27,22 @@ class IntervalIndex {
     int64_t begin;
     int64_t end;
     uint64_t value;
+  };
+
+  /// \brief Largest unsorted tail; also the smallest run.
+  static constexpr size_t kTailCapacity = 64;
+
+  /// \brief A budgeted overlap probe's outcome.
+  struct Probe {
+    /// Matching values below the probe's value limit, ascending. Empty when
+    /// the probe gave up.
+    std::vector<uint64_t> values;
+    /// Entries the probe paid for: run entries it hit (whether or not their
+    /// value passed the limit) plus tail entries it scanned linearly. On
+    /// give-up, the work done before stopping (never more than the budget).
+    size_t work = 0;
+    /// False when the work would have passed the budget.
+    bool complete = true;
   };
 
   void Insert(TimePoint begin, TimePoint end, uint64_t value);
@@ -42,22 +60,41 @@ class IntervalIndex {
   /// with no per-query sort.
   std::vector<uint64_t> Overlapping(TimePoint lo, TimePoint hi) const;
 
-  size_t size() const { return core_.size() + delta_.size(); }
-  size_t delta_size() const { return delta_.size(); }
+  /// \brief Overlapping(lo, hi) restricted to values below `value_limit`,
+  /// giving up once its work would pass `budget`: the probe fails iff run
+  /// hits plus tail size exceed the budget. Runs and a tail whose values
+  /// all reach the limit are skipped unpaid (positions stored after an
+  /// as-of instant); hits past the limit inside a visited run are paid for
+  /// and dropped.
+  Probe OverlappingWithin(
+      TimePoint lo, TimePoint hi, size_t budget,
+      uint64_t value_limit = std::numeric_limits<uint64_t>::max()) const;
 
-  /// \brief Forces the delta buffer into the sorted core.
+  size_t size() const { return size_; }
+  size_t tail_size() const { return tail_.size(); }
+  size_t run_count() const { return runs_.size(); }
+
+  /// \brief Merges every run and the tail into one run (a baseline for
+  /// ablations; the engine never calls it).
   void Compact();
 
  private:
-  void OverlapCore(size_t lo, size_t hi, int64_t qlo, int64_t qhi,
-                   std::vector<uint64_t>* out) const;
-  void SortHits(std::vector<uint64_t>* out, size_t core_hits) const;
-  void Rebuild();
-  void BuildMaxEnd(size_t lo, size_t hi);
+  struct Run {
+    std::vector<Entry> entries;     // sorted by begin
+    std::vector<int64_t> max_end;   // max end over the implicit subtree at mid
+    uint64_t min_value = 0;
+  };
 
-  std::vector<Entry> core_;       // sorted by begin
-  std::vector<int64_t> max_end_;  // max end over the implicit subtree at mid
-  std::vector<Entry> delta_;      // unsorted recent inserts
+  static void MergeFromBack(std::vector<Entry>* into,
+                            const std::vector<Entry>& from);
+  static void Seal(Run* run);
+  static int64_t BuildMaxEnd(Run* run, size_t lo, size_t hi);
+  void FlushTail(bool merge_all);
+
+  std::vector<Run> runs_;     // oldest (largest) first
+  std::vector<Entry> tail_;   // unsorted recent inserts
+  uint64_t tail_min_value_ = std::numeric_limits<uint64_t>::max();
+  size_t size_ = 0;
 };
 
 }  // namespace tempspec

@@ -56,6 +56,9 @@ EventLoop::EventLoop() = default;
 EventLoop::~EventLoop() = default;
 
 Status EventLoop::Init() {
+  // Armed here, not in Run(): a Stop() that lands before the loop thread
+  // reaches Run() must not be lost (the owner would wait on join forever).
+  stop_.store(false, std::memory_order_release);
 #ifdef TEMPSPEC_NET_EPOLL
   backend_fd_.Reset(::epoll_create1(0));
   if (!backend_fd_.valid()) {
@@ -117,7 +120,6 @@ void EventLoop::CancelTimer(uint64_t id) { timer_callbacks_.erase(id); }
 
 void EventLoop::Run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
-  stop_.store(false, std::memory_order_release);
   while (!stop_.load(std::memory_order_acquire)) {
     PollOnce(WaitTimeoutMs(/*cap=*/100));
     RunDueTimers();

@@ -77,7 +77,8 @@ class EventLoop {
   /// only.
   void CancelTimer(uint64_t id);
 
-  /// \brief Runs the loop on the calling thread until Stop().
+  /// \brief Runs the loop on the calling thread until Stop(). A Stop()
+  /// issued after Init() but before Run() makes Run() return at once.
   void Run();
 
   /// \brief Asks the loop to exit; thread-safe, returns immediately.

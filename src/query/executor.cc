@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -88,12 +89,22 @@ class QueryScope {
   /// when observation needs counters anyway, or nullptr.
   QueryStats* stats() const { return stats_; }
 
-  /// \brief Records the optimizer's choice for the span and the registry.
+  /// \brief Records the optimizer's rationale for the span.
   void SetPlan(const PlanChoice& plan) {
-    strategy_token_ = ExecutionStrategyToToken(plan.strategy);
-    if (trace_ != nullptr) trace_->SetAttr("plan", plan.rationale);
+    if (trace_ != nullptr && !plan.rationale.empty()) {
+      trace_->SetAttr("plan", plan.rationale);
+    }
   }
-  void SetStrategyToken(const char* token) { strategy_token_ = token; }
+
+  /// \brief Records the path that ran (span attribute and registry
+  /// counter), the candidate range's row count, and the index probe's work
+  /// when one ran.
+  void SetPath(const char* token, size_t range_rows,
+               std::optional<size_t> probe_work) {
+    strategy_token_ = token;
+    range_rows_ = range_rows;
+    probe_work_ = probe_work;
+  }
 
   ~QueryScope() {
     if (stats_ == nullptr) return;
@@ -113,6 +124,10 @@ class QueryScope {
     if (trace_ != nullptr) {
       if (strategy_token_ != nullptr) {
         trace_->SetAttr("strategy", strategy_token_);
+        trace_->AddCounter("range_rows", range_rows_);
+        if (probe_work_.has_value()) {
+          trace_->AddCounter("probe_work", *probe_work_);
+        }
       }
       trace_->AddCounter("elements_examined", d.elements_examined);
       trace_->AddCounter("index_probes", d.index_probes);
@@ -152,6 +167,8 @@ class QueryScope {
   TraceContext* trace_;
   const char* span_name_;
   const char* strategy_token_ = nullptr;
+  size_t range_rows_ = 0;
+  std::optional<size_t> probe_work_;
   QueryStats* stats_ = nullptr;
   QueryStats local_;
   QueryStats baseline_;
@@ -246,46 +263,15 @@ std::vector<uint64_t> QueryExecutor::DriveMorsels(size_t count,
   return out;
 }
 
-ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
-                                     TimePoint hi,
-                                     std::optional<TimePoint> as_of,
-                                     QueryStats* stats) const {
-  TraceContext::StageScope scan_stage(options_.trace, "scan");
-  const std::span<const Element> elements = relation_.elements();
+std::pair<size_t, size_t> QueryExecutor::CandidateRange(
+    const PlanChoice& plan, TimePoint lo, TimePoint hi,
+    std::optional<TimePoint> as_of) const {
   const StampColumns cols = relation_.stamps().columns();
-  // Every mutation point updates both stores together, so position i of
-  // every stamp column describes elements[i]; the bounds and kernels below
-  // rely on it.
-  if (cols.size != elements.size()) {
-    Status::Internal("stamp store holds ", cols.size, " rows for ",
-                     elements.size(), " elements")
-        .Check();
-  }
-  const int64_t klo = lo.micros();
-  const int64_t khi = hi.micros();
-  const int64_t kasof = as_of.has_value() ? as_of->micros() : kCurrentAsOf;
-
-  // Strategy -> candidates: the contiguous position range [first, last), or
-  // the valid-index probe's position list.
   size_t first = 0;
-  size_t last = elements.size();
-  std::vector<uint64_t> probe;
-  const bool probed = plan.strategy == ExecutionStrategy::kValidIndex;
-  ScanKernel kernel = plan.kernel;
+  size_t last = cols.size;
   switch (plan.strategy) {
     case ExecutionStrategy::kFullScan:
-      // kMonotone assumes its valid-range tests were pre-applied by
-      // MonotoneBounds; on an unbounded scan only the generic predicate is
-      // complete.
-      if (kernel == ScanKernel::kMonotone) kernel = ScanKernel::kGeneric;
-      break;
-
     case ExecutionStrategy::kValidIndex:
-      // Overlapping() returns positions already ascending (contract of
-      // IntervalIndex), so the probe result needs no per-query sort. Probe
-      // results are non-contiguous, so this path stays row-at-a-time.
-      probe = relation_.valid_index().Overlapping(lo, hi);
-      kernel = ScanKernel::kRowAtATime;
       break;
 
     case ExecutionStrategy::kRollbackEquivalence:
@@ -303,27 +289,104 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
     case ExecutionStrategy::kMonotoneBinarySearch:
       // Valid times are non-decreasing in insertion order: binary search the
       // vt_start column (for events it stores valid.at()) for the matching
-      // sub-range, then scan only existence.
-      std::tie(first, last) = MonotoneBounds(cols.vt_start, cols.size, klo, khi);
-      if (kernel != ScanKernel::kRowAtATime) kernel = ScanKernel::kMonotone;
+      // sub-range.
+      std::tie(first, last) =
+          MonotoneBounds(cols.vt_start, cols.size, lo.micros(), hi.micros());
       break;
   }
   if (as_of.has_value()) {
     // Transaction time is append-only, so nothing stored after `as_of` can
-    // exist at it: intersect the candidates with the believed prefix. The
-    // existence predicate below still runs unchanged; the prefix only drops
-    // rows it would reject.
-    const size_t prefix = relation_.stamps().StoredBy(*as_of);
-    if (probed) {
-      probe.erase(std::lower_bound(probe.begin(), probe.end(), prefix),
-                  probe.end());
-    } else {
-      last = std::min(last, prefix);
-      first = std::min(first, last);
-    }
+    // exist at it: intersect the range with the believed prefix.
+    last = std::min(last, relation_.stamps().StoredBy(*as_of));
+    first = std::min(first, last);
   }
-  const size_t count = probed ? probe.size() : last - first;
-  Count(stats, count, plan.strategy == ExecutionStrategy::kFullScan ? 0 : 1);
+  return {first, last};
+}
+
+size_t QueryExecutor::CandidateRows(const PlanChoice& plan, TimePoint lo,
+                                    TimePoint hi,
+                                    std::optional<TimePoint> as_of) const {
+  const auto [first, last] = CandidateRange(plan, lo, hi, as_of);
+  return last - first;
+}
+
+ResultSet QueryExecutor::ExecutePlan(const char* span_name,
+                                     const PlanChoice& plan, TimePoint lo,
+                                     TimePoint hi,
+                                     std::optional<TimePoint> as_of,
+                                     QueryStats* stats) const {
+  QueryScope scope(relation_, options_.trace, span_name, stats);
+  scope.SetPlan(plan);
+  stats = scope.stats();
+  StatsTimer timer(stats);
+  TraceContext::StageScope scan_stage(options_.trace, "scan");
+  const std::span<const Element> elements = relation_.elements();
+  const StampColumns cols = relation_.stamps().columns();
+  // Every mutation point updates both stores together, so position i of
+  // every stamp column describes elements[i]; the bounds and kernels below
+  // rely on it.
+  if (cols.size != elements.size()) {
+    Status::Internal("stamp store holds ", cols.size, " rows for ",
+                     elements.size(), " elements")
+        .Check();
+  }
+  const int64_t klo = lo.micros();
+  const int64_t khi = hi.micros();
+  const int64_t kasof = as_of.has_value() ? as_of->micros() : kCurrentAsOf;
+
+  // Candidates: the strategy's contiguous position range [first, last), cut
+  // to the as-of prefix, or the valid-index probe's position list.
+  const auto [first, last] = CandidateRange(plan, lo, hi, as_of);
+  const size_t range_rows = last - first;
+  // A cost choice probes the index with the range's exact row count as its
+  // budget and keeps the hits only if the probe stays within it; a
+  // hand-built index plan probes unbounded. The value limit skips index
+  // runs stored wholly after the as-of prefix; hits past it inside a
+  // visited run still count, so the as-of cut never hides probe work.
+  const bool forced_probe =
+      !plan.choose_by_cost && plan.strategy == ExecutionStrategy::kValidIndex;
+  IntervalIndex::Probe probe;
+  std::optional<size_t> probe_work;
+  if (plan.choose_by_cost || forced_probe) {
+    const size_t stored = as_of.has_value()
+                              ? relation_.stamps().StoredBy(*as_of)
+                              : elements.size();
+    probe = relation_.valid_index().OverlappingWithin(
+        lo, hi, forced_probe ? std::numeric_limits<size_t>::max() : range_rows,
+        stored);
+    probe_work = probe.work;
+  }
+  const bool probe_won = probe_work.has_value() && probe.complete;
+  const size_t count = probe_won ? probe.values.size() : range_rows;
+  const bool range_searched =
+      plan.strategy != ExecutionStrategy::kFullScan &&
+      plan.strategy != ExecutionStrategy::kValidIndex;
+  Count(stats, probe.work + (probe_won ? 0 : range_rows),
+        (probe_work.has_value() ? 1 : 0) + (range_searched ? 1 : 0));
+
+  ExecutionStrategy path = plan.strategy;
+  ScanKernel kernel = plan.kernel;
+  if (probe_won) {
+    path = ExecutionStrategy::kValidIndex;
+    // Overlapping positions come back ascending (IntervalIndex's contract)
+    // but non-contiguous, so the probe path is row-at-a-time.
+    kernel = ScanKernel::kRowAtATime;
+  } else if (path == ExecutionStrategy::kValidIndex) {
+    path = ExecutionStrategy::kFullScan;  // the probe lost: scan the store
+  } else if (path == ExecutionStrategy::kMonotoneBinarySearch &&
+             kernel != ScanKernel::kRowAtATime) {
+    kernel = ScanKernel::kMonotone;  // the range already applied the vt test
+  }
+  // kMonotone assumes its valid-range tests were pre-applied by
+  // MonotoneBounds; on an unbounded scan only the generic predicate is
+  // complete.
+  if (path == ExecutionStrategy::kFullScan && kernel == ScanKernel::kMonotone) {
+    kernel = ScanKernel::kGeneric;
+  }
+  scope.SetPath(path == ExecutionStrategy::kFullScan && as_of.has_value()
+                    ? "transaction_prefix"
+                    : ExecutionStrategyToToken(path),
+                range_rows, probe_work);
 
   std::vector<uint64_t> positions;
   if (kernel != ScanKernel::kRowAtATime) {
@@ -358,10 +421,10 @@ ResultSet QueryExecutor::ExecutePlan(const PlanChoice& plan, TimePoint lo,
           },
           stats);
     };
-    positions = probed ? row_walk([&](size_t i) { return probe[i]; })
-                       : row_walk([first](size_t i) {
-                           return static_cast<uint64_t>(first + i);
-                         });
+    positions = probe_won ? row_walk([&](size_t i) { return probe.values[i]; })
+                          : row_walk([first](size_t i) {
+                              return static_cast<uint64_t>(first + i);
+                            });
   }
 
   RecordKernel(options_.trace, kernel);
@@ -387,16 +450,10 @@ ResultSet QueryExecutor::ExistenceScan(const char* span_name,
   // existence_columnar kernel, which ignores the valid range. A current
   // query scans every row; a rollback scans only the transaction-time
   // prefix stored by its instant (ExecutePlan's as-of bound).
-  QueryScope scope(relation_, options_.trace, span_name, stats);
-  scope.SetStrategyToken(
-      as_of.has_value()
-          ? "transaction_prefix"
-          : ExecutionStrategyToToken(ExecutionStrategy::kFullScan));
-  stats = scope.stats();
-  StatsTimer timer(stats);
   PlanChoice plan;
   plan.kernel = ScanKernel::kExistence;
-  return ExecutePlan(plan, TimePoint::Min(), TimePoint::Max(), as_of, stats);
+  return ExecutePlan(span_name, plan, TimePoint::Min(), TimePoint::Max(),
+                     as_of, stats);
 }
 
 ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {
@@ -410,12 +467,9 @@ ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {
 
 ResultSet QueryExecutor::TimesliceSetWith(const PlanChoice& plan, TimePoint vt,
                                           QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, "query.timeslice", stats);
-  scope.SetPlan(plan);
-  stats = scope.stats();
-  StatsTimer timer(stats);
-  return ExecutePlan(plan, vt, TimePoint::FromMicros(vt.micros() + 1),
-                     std::nullopt, stats);
+  return ExecutePlan("query.timeslice", plan, vt,
+                     TimePoint::FromMicros(vt.micros() + 1), std::nullopt,
+                     stats);
 }
 
 ResultSet QueryExecutor::ValidRangeSet(TimePoint lo, TimePoint hi,
@@ -431,11 +485,7 @@ ResultSet QueryExecutor::ValidRangeSet(TimePoint lo, TimePoint hi,
 ResultSet QueryExecutor::ValidRangeSetWith(const PlanChoice& plan, TimePoint lo,
                                            TimePoint hi,
                                            QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, "query.valid_range", stats);
-  scope.SetPlan(plan);
-  stats = scope.stats();
-  StatsTimer timer(stats);
-  return ExecutePlan(plan, lo, hi, std::nullopt, stats);
+  return ExecutePlan("query.valid_range", plan, lo, hi, std::nullopt, stats);
 }
 
 ResultSet QueryExecutor::TimesliceAsOfSet(TimePoint vt, TimePoint tt,
@@ -454,12 +504,8 @@ ResultSet QueryExecutor::TimesliceAsOfSet(TimePoint vt, TimePoint tt,
 ResultSet QueryExecutor::TimesliceAsOfSetWith(const PlanChoice& plan,
                                               TimePoint vt, TimePoint tt,
                                               QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, "query.timeslice_as_of", stats);
-  scope.SetPlan(plan);
-  stats = scope.stats();
-  StatsTimer timer(stats);
-  return ExecutePlan(plan, vt, TimePoint::FromMicros(vt.micros() + 1), tt,
-                     stats);
+  return ExecutePlan("query.timeslice_as_of", plan, vt,
+                     TimePoint::FromMicros(vt.micros() + 1), tt, stats);
 }
 
 // -- Materializing adapters ---------------------------------------------------

@@ -6,17 +6,22 @@
 // timeslice strategies are interchangeable: they return the same result set;
 // only the number of elements examined differs (QueryStats).
 //
-// Execution engine: one scan path. Every strategy reduces its query to
-// candidates — a contiguous position range (the whole store, a
-// transaction-time window binary-searched on the tt_start column, or a
-// monotone vt_start sub-range) or an index probe's position list — and one
-// morsel driver scans them. As-of queries (rollback, timeslice AS OF) then
-// cut those candidates to the transaction-time prefix stored by their
-// instant: transaction time is append-only, so a row stored later cannot
-// exist at it. Contiguous ranges run the plan's branch-free
-// columnar kernel over the relation's StampStore (query/kernels.h); index
-// probes and plans whose kernel is row_at_a_time (the drift fallback,
-// hand-built baselines) run the row predicate over Elements instead. The
+// Execution engine: one scan path. Every strategy reduces its query to a
+// contiguous candidate range — the whole store, a transaction-time window
+// binary-searched on the tt_start column, or a monotone vt_start sub-range —
+// whose row count W is exact. As-of queries (rollback, timeslice AS OF) cut
+// that range to the transaction-time prefix stored by their instant:
+// transaction time is append-only, so a row stored later cannot exist at it.
+// A planned read (PlanChoice::choose_by_cost) then pays the cheaper of its
+// two exact candidate sources: it probes the valid-time index with budget W
+// and keeps the probe's hits if the probe finishes within it, else scans the
+// range. The monotone range is already the overlap set and skips the probe;
+// hand-built plans run exactly the strategy they name. elements_examined is
+// what the read paid: the probe's work (run hits plus tail entries, counted
+// before the as-of cut) plus W when the range was scanned, so it never
+// exceeds 2 * min(W, probe work). Ranges run the plan's branch-free columnar
+// kernel over the relation's StampStore (query/kernels.h); probe hits and
+// row_at_a_time plans run the row predicate over Elements instead. The
 // driver runs morsel-parallel on a ThreadPool when the optimizer judges the
 // candidate count worth the dispatch cost; matches are collected per-morsel
 // and concatenated in morsel order, so parallel and serial execution return
@@ -28,6 +33,7 @@
 #define TEMPSPEC_QUERY_EXECUTOR_H_
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -67,8 +73,7 @@ class QueryExecutor {
   explicit QueryExecutor(const TemporalRelation& relation,
                          ExecutorOptions options = {})
       : relation_(relation),
-        optimizer_(relation.specializations(), relation.schema(),
-                   [&relation] { return relation.IsDrifted(); }),
+        optimizer_(relation.specializations(), relation.schema()),
         options_(options) {}
 
   const Optimizer& optimizer() const { return optimizer_; }
@@ -112,6 +117,12 @@ class QueryExecutor {
                                  TimePoint tt,
                                  QueryStats* stats = nullptr) const;
 
+  /// \brief Exact row count W of `plan`'s candidate range over the valid
+  /// range [lo, hi), cut to the prefix stored by `*as_of` when set: what a
+  /// range scan examines, and a cost choice's probe budget.
+  size_t CandidateRows(const PlanChoice& plan, TimePoint lo, TimePoint hi,
+                       std::optional<TimePoint> as_of) const;
+
   // -- Materializing adapters (pre-ResultSet signatures) ---------------------
 
   std::vector<Element> Current(QueryStats* stats = nullptr) const;
@@ -136,12 +147,19 @@ class QueryExecutor {
                                          QueryStats* stats = nullptr) const;
 
  private:
-  /// \brief Shared core: executes `plan` over the valid range [lo, hi),
-  /// filtering by current belief (as_of empty) or by existence at `*as_of`.
-  /// An as-of query first cuts the plan's candidates to the positions
-  /// stored by `*as_of` (StampStore::StoredBy): transaction time is
-  /// append-only, so no later row can exist then.
-  ResultSet ExecutePlan(const PlanChoice& plan, TimePoint lo, TimePoint hi,
+  /// \brief The candidate position range [first, last) of `plan` (see
+  /// CandidateRows).
+  std::pair<size_t, size_t> CandidateRange(const PlanChoice& plan,
+                                           TimePoint lo, TimePoint hi,
+                                           std::optional<TimePoint> as_of) const;
+
+  /// \brief Shared core: executes `plan` over the valid range [lo, hi) as
+  /// span `span_name`, filtering by current belief (as_of empty) or by
+  /// existence at `*as_of`. Chooses the candidate source (see the file
+  /// comment), records the path that ran as the span's and the registry's
+  /// strategy, and drives the scan.
+  ResultSet ExecutePlan(const char* span_name, const PlanChoice& plan,
+                        TimePoint lo, TimePoint hi,
                         std::optional<TimePoint> as_of,
                         QueryStats* stats) const;
 

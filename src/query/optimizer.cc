@@ -39,9 +39,8 @@ void CountPlan(const PlanChoice& plan) {
 
 }  // namespace
 
-Optimizer::Optimizer(const SpecializationSet& specs, const Schema& schema,
-                     std::function<bool()> drifted)
-    : specs_(specs), schema_(schema), drifted_(std::move(drifted)) {}
+Optimizer::Optimizer(const SpecializationSet& specs, const Schema& schema)
+    : specs_(specs), schema_(schema) {}
 
 namespace {
 
@@ -132,22 +131,8 @@ PlanChoice Optimizer::PlanTimeslice(TimePoint vt) const {
 
 PlanChoice Optimizer::PlanValidRange(TimePoint lo, TimePoint hi) const {
   PlanChoice plan;
+  plan.choose_by_cost = true;
   const TimePoint hi_incl = TimePoint::FromMicros(hi.micros() - 1);
-
-  // A DRIFTED relation declared a band its workload has escaped; the
-  // declaration is no longer a sound basis for a specialized strategy or
-  // kernel, so plan as if nothing were declared. (Enforcement keeps the
-  // extension itself clean, so this is conservative, not required for
-  // correctness — but a plan justified by a violated declaration is a lie.)
-  if (drifted_ && drifted_()) {
-    plan.strategy = ExecutionStrategy::kValidIndex;
-    plan.kernel = ScanKernel::kRowAtATime;
-    plan.rationale =
-        "drift monitor reports DRIFTED: declared specialization ignored; "
-        "valid-time interval index probe";
-    CountPlan(plan);
-    return plan;
-  }
 
   if (IsDegenerate()) {
     // vt = tt within the granularity: matches can only have been stored in
@@ -158,7 +143,8 @@ PlanChoice Optimizer::PlanValidRange(TimePoint lo, TimePoint hi) const {
     plan.tt_window = TimeInterval(g.Truncate(lo), g.NextGranule(hi_incl));
     plan.rationale =
         "degenerate relation: valid time equals transaction time within "
-        "granularity " + g.ToString() + "; timeslice answered as rollback";
+        "granularity " + g.ToString() + "; timeslice answered as rollback "
+        "over tt window " + plan.tt_window.ToString();
     CountPlan(plan);
     return plan;
   }
@@ -171,7 +157,7 @@ PlanChoice Optimizer::PlanValidRange(TimePoint lo, TimePoint hi) const {
                                             : ScanKernel::kGeneric;
     plan.tt_window = WindowFromBand(*band, lo, hi_incl);
     plan.rationale = "declared band " + band->ToString() +
-                     " bounds the storage delay; scanning tt window " +
+                     " bounds the storage delay to tt window " +
                      plan.tt_window.ToString();
     CountPlan(plan);
     return plan;
@@ -179,6 +165,7 @@ PlanChoice Optimizer::PlanValidRange(TimePoint lo, TimePoint hi) const {
 
   if (schema_.IsEventRelation() && ValidTimesMonotone()) {
     plan.strategy = ExecutionStrategy::kMonotoneBinarySearch;
+    plan.choose_by_cost = false;  // the range is the overlap set itself
     plan.kernel = ScanKernel::kMonotone;
     plan.rationale =
         "non-decreasing/sequential relation: valid times are sorted in "
@@ -188,7 +175,10 @@ PlanChoice Optimizer::PlanValidRange(TimePoint lo, TimePoint hi) const {
   }
 
   plan.strategy = ExecutionStrategy::kValidIndex;
-  plan.kernel = ScanKernel::kRowAtATime;  // probe results are non-contiguous
+  // The probe's budget is the whole store, which it can only pass on an
+  // as-of read (positions past the prefix still cost); the fallback walks
+  // that prefix row by row.
+  plan.kernel = ScanKernel::kRowAtATime;
   plan.rationale = "general relation: valid-time interval index probe";
   CountPlan(plan);
   return plan;

@@ -2,9 +2,7 @@
 #ifndef TEMPSPEC_QUERY_OPTIMIZER_H_
 #define TEMPSPEC_QUERY_OPTIMIZER_H_
 
-#include <functional>
 #include <optional>
-#include <utility>
 
 #include "model/schema.h"
 #include "query/plan.h"
@@ -15,22 +13,22 @@ namespace tempspec {
 /// \brief Chooses execution strategies from the declared specializations.
 class Optimizer {
  public:
-  /// \brief `drifted`, when supplied, is consulted once per plan: a true
-  /// return means the drift monitor reports DRIFTED (declared specialization
-  /// with observed violations), and the planner ignores the declaration —
-  /// the general relation's plan: valid-index probe, row_at_a_time walk —
-  /// rather than trust a band the workload has escaped. The executor wires
-  /// this to TemporalRelation::IsDrifted().
-  Optimizer(const SpecializationSet& specs, const Schema& schema,
-            std::function<bool()> drifted = nullptr);
+  Optimizer(const SpecializationSet& specs, const Schema& schema);
 
   /// \brief Plans a timeslice (historical) query at valid time `vt`.
   ///
-  /// Strategy ladder (first applicable wins):
+  /// Candidate range ladder (first applicable wins):
   ///  1. degenerate           -> rollback equivalence on the append-only store
   ///  2. any fixed band       -> transaction-time window [vt - hi, vt - lo]
   ///  3. non-decr/sequential  -> binary search on the insertion order
-  ///  4. otherwise            -> valid-time interval index
+  ///  4. otherwise            -> the whole store
+  /// Every plan but (3) is a cost choice (PlanChoice::choose_by_cost): the
+  /// executor probes the valid-time index with the range's exact row count
+  /// as budget and scans the range only if the probe would cost more. The
+  /// monotone range is already the overlap set, so no probe can beat it.
+  /// Plans (1)-(2) rest on the declaration alone: enforcement keeps every
+  /// stored stamp inside the declared band, so a DRIFTED verdict (which
+  /// only counts rejected writes) never changes a plan.
   PlanChoice PlanTimeslice(TimePoint vt) const;
 
   /// \brief Plans a valid-time range query over [lo, hi).
@@ -63,7 +61,6 @@ class Optimizer {
  private:
   const SpecializationSet& specs_;
   const Schema& schema_;
-  std::function<bool()> drifted_;
 };
 
 }  // namespace tempspec

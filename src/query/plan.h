@@ -46,12 +46,12 @@ const char* ExecutionStrategyToToken(ExecutionStrategy s);
 /// columns that pane leaves underived.
 enum class ScanKernel : uint8_t {
   /// Walk std::vector<Element> with a per-row predicate (the baseline, and
-  /// the only option for non-contiguous candidates such as index probes).
+  /// the only option for non-contiguous candidates such as index probes,
+  /// so every probe that wins the cost choice runs it).
   kRowAtATime,
   /// Generic two-half-plane columnar predicate: both vt columns plus the
   /// existence column. Correct for every relation; planned for interval
-  /// relations with a fixed band (a DRIFTED relation plans the valid-index
-  /// probe with kRowAtATime instead).
+  /// relations with a fixed band.
   kGeneric,
   /// Degenerate pane (vt = tt): inside the granule-aligned tt window a
   /// single vt column decides membership.
@@ -81,6 +81,12 @@ struct PlanChoice {
   /// row-at-a-time walk so hand-built plans (tests, naive baselines) keep
   /// the pre-columnar behavior.
   ScanKernel kernel = ScanKernel::kRowAtATime;
+  /// Set by the optimizer on every plan but the monotone one (whose range
+  /// is already the overlap set): the executor runs the cheaper of the
+  /// strategy's candidate range and a valid-time index probe budgeted by
+  /// that range's exact row count. Hand-built plans leave it unset and run
+  /// exactly `strategy`.
+  bool choose_by_cost = false;
 };
 
 /// \brief Execution counters for measuring strategy effectiveness.

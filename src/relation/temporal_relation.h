@@ -161,11 +161,6 @@ class TemporalRelation {
   /// the report shows zero stamps.
   DriftReport DriftState() const { return drift_.Report(); }
 
-  /// \brief Cheap DRIFTED check (declared specialization with observed
-  /// violations): the optimizer consults this per plan to fall back to the
-  /// general strategy when the declaration is no longer trustworthy.
-  bool IsDrifted() const { return drift_.Drifted(); }
-
   /// \brief Storage and population statistics.
   struct Stats {
     size_t elements = 0;          // every element ever stored

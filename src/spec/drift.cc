@@ -125,8 +125,7 @@ void RelationDriftMonitor::Observe(TimePoint tt, TimePoint vt) {
                    ? EventKindLatticeDistance(declared_kind_, observed)
                    : 0;
     if (violated && violations_ == 1) {
-      // The conforming→drifted transition is a decision-plane milestone: it
-      // flips Drifted() and thus the optimizer's specialization gate, so the
+      // The conforming→drifted transition is a decision-plane milestone: the
       // flight recorder keeps the exact moment and relation.
       TS_FLIGHT(FlightCategory::kDrift, FlightCode::kDriftVerdict, observed,
                 distance, relation_name_);
@@ -148,12 +147,6 @@ void RelationDriftMonitor::Observe(TimePoint tt, TimePoint vt) {
   static_cast<void>(distance);
   static_cast<void>(violated);
 #endif
-}
-
-bool RelationDriftMonitor::Drifted() const {
-  if (!has_declaration_) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  return violations_ > 0;
 }
 
 DriftReport RelationDriftMonitor::Report() const {

@@ -109,13 +109,6 @@ class RelationDriftMonitor {
 
   DriftReport Report() const;
 
-  /// \brief True when the relation is in the DRIFTED state: it declared a
-  /// specialization and at least one attempted stamp violated it. Much
-  /// cheaper than Report() (one lock, no pane copy) — the optimizer calls
-  /// this once per plan to decide whether the declaration is still a sound
-  /// basis for a specialized strategy.
-  bool Drifted() const;
-
   const std::string& relation_name() const { return relation_name_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "timex/calendar.h"
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,6 +17,20 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 }
 
 int64_t FloorMod(int64_t a, int64_t b) { return a - FloorDiv(a, b) * b; }
+
+/// \brief FromCivil's microsecond count, or false when it leaves the
+/// representable range: days * kMicrosPerDay overflows int64 beyond roughly
+/// +/-292 000 years, and the +/-inf sentinels are not time points either.
+bool CivilMicros(const CivilDateTime& c, int64_t* micros) {
+  const int64_t time_of_day = c.hour * kMicrosPerHour +
+                              c.minute * kMicrosPerMinute +
+                              c.second * kMicrosPerSecond + c.micro;
+  return !__builtin_mul_overflow(DaysFromCivil(c.year, c.month, c.day),
+                                 kMicrosPerDay, micros) &&
+         !__builtin_add_overflow(*micros, time_of_day, micros) &&
+         *micros > TimePoint::Min().micros() &&
+         *micros < TimePoint::Max().micros();
+}
 
 }  // namespace
 
@@ -81,13 +96,24 @@ TimePoint FromCivil(const CivilDateTime& c) {
 }
 
 TimePoint AddMonths(TimePoint tp, int64_t months) {
+  if (tp.IsMin() || tp.IsMax()) return tp;
+  // Results past the representable range saturate to the sentinels.
+  const TimePoint saturated = months > 0 ? TimePoint::Max() : TimePoint::Min();
   CivilDateTime c = ToCivil(tp);
-  int64_t linear = static_cast<int64_t>(c.year) * 12 + (c.month - 1) + months;
-  c.year = static_cast<int32_t>(FloorDiv(linear, 12));
+  int64_t linear = 0;
+  if (__builtin_add_overflow(static_cast<int64_t>(c.year) * 12 + (c.month - 1),
+                             months, &linear)) {
+    return saturated;
+  }
+  const int64_t year = FloorDiv(linear, 12);
+  if (year < INT32_MIN || year > INT32_MAX) return saturated;
+  c.year = static_cast<int32_t>(year);
   c.month = static_cast<int32_t>(FloorMod(linear, 12)) + 1;
   const int32_t dim = DaysInMonth(c.year, c.month);
   if (c.day > dim) c.day = dim;
-  return FromCivil(c);
+  int64_t micros = 0;
+  if (!CivilMicros(c, &micros)) return saturated;
+  return TimePoint::FromMicros(micros);
 }
 
 int64_t WholeMonthsBetween(TimePoint from, TimePoint to) {
@@ -128,18 +154,8 @@ Result<TimePoint> ParseTimePoint(const std::string& text) {
     return Status::InvalidArgument("time of day out of range in '", text, "'");
   }
   c.micro = micro;
-  // FromCivil's days * kMicrosPerDay overflows int64 beyond roughly
-  // +/-292 000 years; such dates (and the +/-inf sentinels themselves) are
-  // not representable time points.
   int64_t micros = 0;
-  const int64_t time_of_day = c.hour * kMicrosPerHour +
-                              c.minute * kMicrosPerMinute +
-                              c.second * kMicrosPerSecond + c.micro;
-  if (__builtin_mul_overflow(DaysFromCivil(c.year, c.month, c.day),
-                             kMicrosPerDay, &micros) ||
-      __builtin_add_overflow(micros, time_of_day, &micros) ||
-      micros <= TimePoint::Min().micros() ||
-      micros >= TimePoint::Max().micros()) {
+  if (!CivilMicros(c, &micros)) {
     return Status::InvalidArgument("year out of range in '", text, "'");
   }
   return TimePoint::FromMicros(micros);

@@ -47,7 +47,9 @@ CivilDateTime ToCivil(TimePoint tp);
 TimePoint FromCivil(const CivilDateTime& c);
 
 /// \brief Adds `months` calendar months, clamping the day-of-month to the
-/// target month's length (1992-01-31 + 1 month = 1992-02-29).
+/// target month's length (1992-01-31 + 1 month = 1992-02-29). Sentinels
+/// are absorbing; a result past either end of the time line saturates to
+/// TimePoint::Min()/Max().
 TimePoint AddMonths(TimePoint tp, int64_t months);
 
 /// \brief Whole calendar months from `from` to `to` (floor), the inverse

@@ -111,7 +111,15 @@ TimePoint AddDuration(TimePoint tp, Duration d) {
   if (tp.IsMin() || tp.IsMax()) return tp;  // sentinels absorb arithmetic
   TimePoint out = tp;
   if (d.months() != 0) out = AddMonths(out, d.months());
-  if (d.micros() != 0) out = TimePoint::FromMicros(out.micros() + d.micros());
+  if (d.micros() != 0 && !out.IsMin() && !out.IsMax()) {
+    // Past either end of the time line the result saturates to the
+    // sentinel: a window that reaches beyond it is unbounded on that side.
+    int64_t micros = 0;
+    if (__builtin_add_overflow(out.micros(), d.micros(), &micros)) {
+      return d.micros() > 0 ? TimePoint::Max() : TimePoint::Min();
+    }
+    out = TimePoint::FromMicros(micros);
+  }
   return out;
 }
 

@@ -83,7 +83,8 @@ class Duration {
 };
 
 /// \brief Applies a duration to an instant: months first (day-clamped), then
-/// the fixed component. Sentinel instants are absorbing.
+/// the fixed component. Sentinel instants are absorbing, and a result past
+/// either end of the time line saturates to Min()/Max().
 TimePoint AddDuration(TimePoint tp, Duration d);
 
 inline TimePoint operator+(TimePoint tp, Duration d) { return AddDuration(tp, d); }

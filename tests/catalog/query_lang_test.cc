@@ -138,6 +138,57 @@ TEST_F(QueryLangTest, ExplainOnly) {
   EXPECT_NE(out.plan_description.find("degenerate"), std::string::npos);
 }
 
+TEST_F(QueryLangTest, PlanLineStatesTheCandidateRangeAndProbeBudget) {
+  // The window [10:20, 10:20:01) holds one of the twelve stored rows: that
+  // exact count is both what a window scan examines and the index probe's
+  // budget, and the plan line says so (deterministically: it depends only
+  // on the stored rows).
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput out,
+      ExecuteQuery(catalog_,
+                   "EXPLAIN TIMESLICE samples AT '1992-02-03 10:20:00'"));
+  EXPECT_NE(out.plan_description.find(
+                "candidate range 1 row(s), valid-index probe budget 1"),
+            std::string::npos)
+      << out.plan_description;
+  // An as-of read's range is cut to the rows stored by its instant.
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput early,
+      ExecuteQuery(catalog_, "EXPLAIN TIMESLICE samples AT '1992-02-03 "
+                             "10:20:00' AS OF '1992-02-03 10:10:00'"));
+  EXPECT_NE(early.plan_description.find("candidate range 0 row(s)"),
+            std::string::npos)
+      << early.plan_description;
+}
+
+TEST_F(QueryLangTest, ExplainWindowSaturatesAtTheEndOfTime) {
+  // vt + 5d passes TimePoint::Max() (294247-01-10, int64 microseconds after
+  // 1970): the window end must saturate to +inf rather than overflow int64
+  // into a bogus instant.
+  RelationOptions base;
+  base.clock = clock_;
+  ASSERT_OK(catalog_
+                .CreateRelationFromDdl(
+                    "CREATE EVENT RELATION ledger (account INT64 KEY, "
+                    "amount DOUBLE) GRANULARITY 1s WITH STRONGLY BOUNDED 5d 2d",
+                    base)
+                .status());
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput out,
+      ExecuteQuery(catalog_,
+                   "EXPLAIN TIMESLICE ledger AT '294247-01-08 00:00:00'"));
+  EXPECT_NE(out.plan_description.find("tt window [294247-01-06 00:00:00.000000, "
+                                      "+inf)"),
+            std::string::npos)
+      << out.plan_description;
+  // Executing it is just as safe, and finds nothing.
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutput run,
+      ExecuteQuery(catalog_, "RANGE ledger FROM '294246-12-01 00:00:00' TO "
+                             "'294247-01-08 00:00:00'"));
+  EXPECT_TRUE(run.elements.empty());
+}
+
 TEST_F(QueryLangTest, ShowSlowQueries) {
   SlowQueryLog& log = SlowQueryLog::Instance();
   log.Clear();

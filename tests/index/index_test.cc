@@ -112,7 +112,7 @@ TEST(IntervalIndexTest, CompactPreservesAnswers) {
   for (int i = 0; i < 10; ++i) index.Insert(T(i * 10), T(i * 10 + 5), i);
   const auto before = index.Stab(T(42));
   index.Compact();
-  EXPECT_EQ(index.delta_size(), 0u);
+  EXPECT_EQ(index.tail_size(), 0u);
   EXPECT_EQ(index.Stab(T(42)), before);
 }
 

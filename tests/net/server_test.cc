@@ -10,11 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/net_test_client.h"
 #include "testing.h"
@@ -26,6 +28,26 @@ using namespace std::chrono_literals;
 using testing::QueryFrame;
 using testing::TestClient;
 using testing::WaitFor;
+
+TEST(EventLoopTest, StopBeforeRunIsNotLost) {
+  // NetServer::Stop() can run before its loop thread has entered Run() (a
+  // server started and stopped at once, on a loaded host). That Stop() must
+  // still end the loop; before the fix Run() re-armed the flag and spun
+  // forever while Stop() waited to join it.
+  EventLoop loop;
+  ASSERT_OK(loop.Init());
+  loop.Stop();
+  std::promise<void> returned;
+  std::thread runner([&] {
+    loop.Run();
+    returned.set_value();
+  });
+  const bool ended = returned.get_future().wait_for(2s) ==
+                     std::future_status::ready;
+  if (!ended) loop.Stop();  // unblock the runner so the test can fail cleanly
+  runner.join();
+  EXPECT_TRUE(ended) << "Run() ignored a Stop() issued before it started";
+}
 
 class NetServerTest : public ::testing::Test {
  protected:

@@ -85,6 +85,13 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
     // The planned timeslice records its plan stage and rationale.
     EXPECT_FALSE(trace.attr("plan").empty());
     EXPECT_EQ(trace.stages()[0].name, "plan");
+    // A general relation's candidate range is the whole store; the probe
+    // stays within that budget, so the path that ran is the probe, and what
+    // it paid is exactly what the read examined.
+    EXPECT_EQ(trace.attr("strategy"), "valid_index");
+    EXPECT_EQ(trace.counter("range_rows"), scenario_->elements().size());
+    EXPECT_EQ(trace.counter("probe_work"),
+              trace.counter("elements_examined"));
   }
   {
     TraceContext trace;
@@ -201,6 +208,16 @@ TEST_F(ExplainAnalyzeTest, ReturnsTraceJsonAndExecutes) {
       << out.trace_json;
   EXPECT_NE(out.trace_json.find("\"rows_scanned\":"), std::string::npos);
   EXPECT_NE(out.trace_json.find("\"rows_matched\":"), std::string::npos);
+  // The one-row window beats a probe that would scan the eight-entry index
+  // tail, so the path that ran is the window: EXPLAIN ANALYZE names it with
+  // the range's row count and the probe's (zero) work before it gave up.
+  EXPECT_NE(out.trace_json.find("\"strategy\":\"rollback_equivalence\""),
+            std::string::npos)
+      << out.trace_json;
+  EXPECT_NE(out.trace_json.find("\"range_rows\":1"), std::string::npos)
+      << out.trace_json;
+  EXPECT_NE(out.trace_json.find("\"probe_work\":0"), std::string::npos)
+      << out.trace_json;
   // The plan description names the kernel too (also on plain EXPLAIN).
   EXPECT_NE(out.plan_description.find("[kernel degenerate_columnar]"),
             std::string::npos)

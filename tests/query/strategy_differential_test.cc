@@ -3,17 +3,21 @@
 //
 // For every pane of Figure 1 this builds a relation declaring exactly that
 // specialization, loads it with a seeded event history confined to the
-// pane's band, and answers timeslice and valid-range queries twice — with
-// the plan the optimizer picks for the declared specialization, and with the
-// always-available full scan. The two executions must return byte-identical
-// position sets (the engine's strategy-interchangeability contract), and the
-// specialized plan must never examine more elements than the naive one; for
-// the doubly-bounded panes, whose transaction-time window is a fixed-width
-// slice of the history, it must examine strictly fewer. As-of reads
-// (rollback and timeslice AS OF) are checked against a hand-written ExistsAt
-// walk and must examine only rows stored by their instant.
+// pane's band, and answers timeslice and valid-range queries four ways —
+// with the plan the optimizer picks (a cost choice between its candidate
+// range and a budgeted valid-index probe), with that range forced, with the
+// probe forced, and with the always-available full scan. All four must
+// return byte-identical position sets (the engine's
+// strategy-interchangeability contract). The planned read pays at most
+// twice the cheaper forced source: examined <= 2 * min(range rows, probe
+// work). For the doubly-bounded panes, whose transaction-time window is a
+// fixed-width slice of the history, it must examine strictly fewer rows
+// than the full scan. As-of reads (rollback and timeslice AS OF) are
+// checked against a hand-written ExistsAt walk; a rollback examines only
+// rows stored by its instant, and a timeslice at most twice that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,7 +113,21 @@ void ExpectSameResults(const ResultSet& specialized, const ResultSet& naive,
   ASSERT_EQ(specialized.positions(), naive.positions()) << what;
 }
 
-TEST(StrategyDifferentialTest, EveryEnumeratedSpecializationBeatsOrTiesNaive) {
+/// \brief The planned plan's candidate range, run as a hand-built plan: the
+/// window (or monotone range) itself, or the full scan for the general pane
+/// whose range is the whole store.
+PlanChoice ForcedRange(PlanChoice plan) {
+  plan.choose_by_cost = false;
+  if (plan.strategy == ExecutionStrategy::kValidIndex) {
+    plan.strategy = ExecutionStrategy::kFullScan;
+  }
+  return plan;
+}
+
+const PlanChoice kForcedProbe{ExecutionStrategy::kValidIndex,
+                              TimeInterval::All(), ""};
+
+TEST(StrategyDifferentialTest, PlannedReadPaysAtMostTwiceTheCheaperSource) {
   const PlanChoice naive_plan{ExecutionStrategy::kFullScan, TimeInterval::All(),
                               ""};
   uint64_t seed = 42;
@@ -132,18 +150,42 @@ TEST(StrategyDifferentialTest, EveryEnumeratedSpecializationBeatsOrTiesNaive) {
           probe.valid.at() + Duration::Seconds(rng.Uniform(-2, 2));
 
       const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
-      QueryStats specialized_stats, naive_stats;
+      const std::string what = std::string("timeslice under ") +
+                               ExecutionStrategyToString(plan.strategy);
+      QueryStats specialized_stats, naive_stats, range_only, probe_only;
+      TraceContext trace;
+      QueryExecutor traced(*rr.relation,
+                           ExecutorOptions{.pool = nullptr, .trace = &trace});
       const ResultSet specialized =
-          exec.TimesliceSetWith(plan, vt, &specialized_stats);
+          traced.TimesliceSetWith(plan, vt, &specialized_stats);
       const ResultSet naive =
           exec.TimesliceSetWith(naive_plan, vt, &naive_stats);
-      ExpectSameResults(specialized, naive,
-                        std::string("timeslice under ") +
-                            ExecutionStrategyToString(plan.strategy));
+      ExpectSameResults(specialized, naive, what);
+      ExpectSameResults(
+          exec.TimesliceSetWith(ForcedRange(plan), vt, &range_only), naive,
+          what + ", range forced");
+      ExpectSameResults(exec.TimesliceSetWith(kForcedProbe, vt, &probe_only),
+                        naive, what + ", probe forced");
       EXPECT_EQ(naive_stats.elements_examined, static_cast<uint64_t>(kEvents));
       EXPECT_LE(specialized_stats.elements_examined,
-                naive_stats.elements_examined)
-          << ExecutionStrategyToString(plan.strategy);
+                2 * std::min(range_only.elements_examined,
+                             probe_only.elements_examined))
+          << what;
+      // The path that ran is the cheaper source — the probe iff its work
+      // fits in the range's rows — and the span names it.
+      const bool probe_cheaper =
+          plan.choose_by_cost &&
+          probe_only.elements_examined <= range_only.elements_examined;
+      EXPECT_EQ(trace.attr("strategy"),
+                probe_cheaper
+                    ? "valid_index"
+                    : ExecutionStrategyToToken(ForcedRange(plan).strategy))
+          << what;
+      if (probe_cheaper) {
+        EXPECT_EQ(specialized_stats.elements_examined,
+                  probe_only.elements_examined)
+            << what;
+      }
       if (doubly_bounded) {
         // A fixed-width transaction window over a uniform 1 op/s history
         // touches a small fraction of kEvents.
@@ -155,15 +197,24 @@ TEST(StrategyDifferentialTest, EveryEnumeratedSpecializationBeatsOrTiesNaive) {
       // Valid-range probes: the same contract for the range planner.
       const TimePoint hi = vt + Duration::Seconds(rng.Uniform(1, 300));
       const PlanChoice range_plan = exec.optimizer().PlanValidRange(vt, hi);
-      QueryStats range_stats, range_naive_stats;
-      ExpectSameResults(
-          exec.ValidRangeSetWith(range_plan, vt, hi, &range_stats),
-          exec.ValidRangeSetWith(naive_plan, vt, hi, &range_naive_stats),
+      const std::string range_what =
           std::string("valid-range under ") +
-              ExecutionStrategyToString(range_plan.strategy));
+          ExecutionStrategyToString(range_plan.strategy);
+      QueryStats range_stats, range_naive_stats, window_only, index_only;
+      const ResultSet range_naive =
+          exec.ValidRangeSetWith(naive_plan, vt, hi, &range_naive_stats);
+      ExpectSameResults(exec.ValidRangeSetWith(range_plan, vt, hi, &range_stats),
+                        range_naive, range_what);
+      ExpectSameResults(exec.ValidRangeSetWith(ForcedRange(range_plan), vt, hi,
+                                               &window_only),
+                        range_naive, range_what + ", range forced");
+      ExpectSameResults(
+          exec.ValidRangeSetWith(kForcedProbe, vt, hi, &index_only),
+          range_naive, range_what + ", probe forced");
       EXPECT_LE(range_stats.elements_examined,
-                range_naive_stats.elements_examined)
-          << ExecutionStrategyToString(range_plan.strategy);
+                2 * std::min(window_only.elements_examined,
+                             index_only.elements_examined))
+          << range_what;
     }
   }
 }
@@ -306,12 +357,13 @@ TEST(StrategyDifferentialTest, AsOfReadsScanOnlyTheStoredPrefix) {
   // As-of differential: transaction time is append-only, so the executor
   // cuts every as-of read to the positions stored by its instant. For every
   // pane — with deletions and Modify pairs in the history — the planned
-  // as-of timeslice, the same query forced onto the valid-index probe, and
-  // the rollback must each return exactly the positions a hand-written
-  // ExistsAt walk over the Elements finds (not a full-scan plan: that is
-  // pruned too), and examine no row stored after the instant.
-  PlanChoice index_plan;
-  index_plan.strategy = ExecutionStrategy::kValidIndex;
+  // as-of timeslice, the same query forced onto its range and onto the
+  // valid-index probe, and the rollback must each return exactly the
+  // positions a hand-written ExistsAt walk over the Elements finds (not a
+  // full-scan plan: that is pruned too). The rollback examines no row
+  // stored after the instant. A probe also pays for hits past the prefix
+  // inside an index run it visits, so the timeslices examine at most twice
+  // the stored rows, and the planned one at most twice its cheaper source.
 
   uint64_t seed = 2027;
   for (const EnumeratedRegion& region :
@@ -371,17 +423,29 @@ TEST(StrategyDifferentialTest, AsOfReadsScanOnlyTheStoredPrefix) {
           }
         }
         const PlanChoice planned = exec.optimizer().PlanTimeslice(vt);
-        QueryStats planned_stats, index_stats;
+        QueryStats planned_stats, range_stats, index_stats;
         EXPECT_EQ(exec.TimesliceAsOfSet(vt, as_of, &planned_stats).positions(),
                   naive)
             << ExecutionStrategyToString(planned.strategy);
-        EXPECT_EQ(exec.TimesliceAsOfSetWith(index_plan, vt, as_of, &index_stats)
+        EXPECT_EQ(exec.TimesliceAsOfSetWith(ForcedRange(planned), vt, as_of,
+                                            &range_stats)
+                      .positions(),
+                  naive)
+            << "forced range";
+        EXPECT_EQ(exec.TimesliceAsOfSetWith(kForcedProbe, vt, as_of,
+                                            &index_stats)
                       .positions(),
                   naive)
             << "forced valid_index";
-        EXPECT_LE(planned_stats.elements_examined, stored)
+        EXPECT_LE(planned_stats.elements_examined, 2 * stored)
             << ExecutionStrategyToString(planned.strategy);
-        EXPECT_LE(index_stats.elements_examined, stored) << "forced valid_index";
+        EXPECT_LE(planned_stats.elements_examined,
+                  2 * std::min(range_stats.elements_examined,
+                               index_stats.elements_examined))
+            << ExecutionStrategyToString(planned.strategy);
+        EXPECT_LE(range_stats.elements_examined, stored) << "forced range";
+        EXPECT_LE(index_stats.elements_examined, 2 * stored)
+            << "forced valid_index";
       }
     }
     // The Modify-shared instant really is shared: one element's existence

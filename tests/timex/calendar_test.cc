@@ -1,4 +1,5 @@
 #include "timex/calendar.h"
+#include "timex/duration.h"
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,24 @@ TEST(CalendarTest, AddMonthsClampsDayOfMonth) {
 TEST(CalendarTest, AddMonthsAcrossYearBoundary) {
   EXPECT_EQ(AddMonths(Civil(1992, 11, 30), 3), Civil(1993, 2, 28));
   EXPECT_EQ(AddMonths(Civil(1992, 2, 29), -2), Civil(1991, 12, 29));
+}
+
+TEST(CalendarTest, ArithmeticPastTheEndsOfTimeSaturates) {
+  // TimePoint::Min() is -290308-12-22 and Max() 294247-01-10 (int64
+  // microseconds around 1970); a result beyond either end is the
+  // sentinel, never a wrapped int64. Sentinels absorb arithmetic.
+  const TimePoint late = ParseTimePoint("294247-01-08 00:00:00").ValueOrDie();
+  const TimePoint early = ParseTimePoint("-290308-12-25 00:00:00").ValueOrDie();
+  EXPECT_EQ(late + Duration::Days(5), TimePoint::Max());
+  EXPECT_EQ(late + Duration::Months(1), TimePoint::Max());
+  EXPECT_EQ(late + Duration::Years(400000), TimePoint::Max());
+  EXPECT_EQ(early - Duration::Days(5), TimePoint::Min());
+  EXPECT_EQ(early - Duration::Months(1), TimePoint::Min());
+  EXPECT_EQ(AddMonths(TimePoint::Max(), -1), TimePoint::Max());
+  EXPECT_EQ(AddMonths(TimePoint::Min(), 1), TimePoint::Min());
+  // In range, nothing changes.
+  EXPECT_EQ(late + Duration::Days(1),
+            ParseTimePoint("294247-01-09 00:00:00").ValueOrDie());
 }
 
 TEST(CalendarTest, WholeMonthsBetween) {

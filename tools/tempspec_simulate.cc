@@ -15,8 +15,8 @@
 //   --scenario-drift         the ledger tenant starts violating its declared
 //                            STRONGLY BOUNDED band a third into the run; the
 //                            drift monitor must flip SHOW SPECIALIZATION to
-//                            DRIFTED and EXPLAIN must fall back to the
-//                            row-at-a-time kernel (metrics builds).
+//                            DRIFTED (metrics builds). Plans do not change:
+//                            enforcement keeps the stored band sound.
 //   --scenario-crash         SIGKILL the daemon at peak load halfway
 //                            through, restart on the same data dir; tenants
 //                            reconnect and every acked write must still be
@@ -30,10 +30,8 @@
 // sampler feeds /metrics/history and the SLO watchdog. The simulator scrapes
 // /debug/health mid-run and after the run, cross-checks the server's
 // per-relation verdicts against the client-side latency ledgers (a tenant
-// whose client p99 is inside the objective must read "ok" server-side), and
-// in the drift scenario asserts the {relation=ledger,kind=row_at_a_time}
-// labeled series appears only after the optimizer fell back. A post-run
-// probe statement also proves the trace join: the control client's
+// whose client p99 is inside the objective must read "ok" server-side). A
+// post-run probe statement also proves the trace join: the control client's
 // X-Tempspec-Trace id must show up in the server's /debug/traces retention.
 //
 // Emits a schema-v2 BENCH_p4_simulator.json (--json) that
@@ -303,14 +301,6 @@ std::string HealthTotalVerdict(const std::string& health,
   return health.substr(begin, end - begin);
 }
 
-/// True when the health scrape's labeled-series dump contains a
-/// {relation, kind} pair — the drift scenario's attribution check.
-bool HealthHasSeries(const std::string& health, const std::string& relation,
-                     const std::string& kind) {
-  return health.find("\"relation\":\"" + relation + "\",\"kind\":\"" + kind +
-                     "\"") != std::string::npos;
-}
-
 struct TenantPlan {
   Scenario scenario;
   ClientProtocol protocol;
@@ -430,10 +420,7 @@ int SimulateMain(int argc, char** argv) {
   bool drift_started = false;
   bool drift_verified = false;
   bool drifted_flag = false;
-  bool drift_plan_fell_back = false;
   std::string drift_show_body;
-  std::string drift_plan_body;
-  std::string pre_drift_health;
   std::string mid_health;
   bool crashed = false;
   while (true) {
@@ -456,13 +443,6 @@ int SimulateMain(int argc, char** argv) {
     }
     if (options.scenario_drift && !drift_started && options.max_ops == 0 &&
         progress >= 1.0 / 3) {
-      // Snapshot the labeled series before the hostile phase: the
-      // row-at-a-time fallback series for ledger must be absent here and
-      // present after the optimizer stops trusting the declaration.
-      if (options.slo_p99_ms > 0) {
-        Result<std::string> health = control.Get("/debug/health");
-        if (health.ok()) pre_drift_health = health.ValueOrDie();
-      }
       std::fprintf(stderr, "tempspec_simulate: starting ledger drift\n");
       ledger_driver->StartDrift();
       drift_started = true;
@@ -490,18 +470,9 @@ int SimulateMain(int argc, char** argv) {
       drift_show_body = shown.body;
       drifted_flag =
           shown.ok() && shown.body.find("DRIFTED") != std::string::npos;
-      WireReply plan = control.ExecuteRetrying(
-          "EXPLAIN TIMESLICE ledger AT '1970-01-01 00:00:00'",
-          options.deadline_ms);
-      ++control_posts;
-      drift_plan_body = plan.body;
-      drift_plan_fell_back =
-          plan.ok() && plan.body.find("row_at_a_time") != std::string::npos;
       drift_verified = true;
-      std::fprintf(stderr,
-                   "tempspec_simulate: drift check: drifted_flag=%d "
-                   "plan_fell_back=%d\n",
-                   drifted_flag ? 1 : 0, drift_plan_fell_back ? 1 : 0);
+      std::fprintf(stderr, "tempspec_simulate: drift check: drifted_flag=%d\n",
+                   drifted_flag ? 1 : 0);
     }
     if (options.scenario_crash && !crashed && progress >= 0.5) {
       std::fprintf(stderr,
@@ -526,9 +497,8 @@ int SimulateMain(int argc, char** argv) {
   if (!control.connected()) control.Connect(daemon.port());
 
   // Hostile scenario: the drift monitor must have noticed the ledger
-  // tenant leaving its declared band, and the optimizer must have stopped
-  // trusting the declaration. The actual SHOW/EXPLAIN probes ran mid-flight
-  // (see the timeline loop); here we only assert on what they saw. Drift
+  // tenant leaving its declared band. The SHOW probe ran mid-flight
+  // (see the timeline loop); here we only assert on what it saw. Drift
   // observation lives behind TEMPSPEC_METRICS; a metrics-OFF tree cannot
   // flip, so the flip assertions are compiled out with it.
   if (options.scenario_drift) {
@@ -541,16 +511,9 @@ int SimulateMain(int argc, char** argv) {
     if (!drift_verified) {
       failures.push_back(
           "drift scenario never reached the mid-run DRIFTED check");
-    } else {
-      if (!drifted_flag) {
-        failures.push_back("drift monitor did not flip ledger to DRIFTED: " +
-                           drift_show_body);
-      }
-      if (!drift_plan_fell_back) {
-        failures.push_back(
-            "optimizer still trusts the drifted ledger declaration: " +
-            drift_plan_body);
-      }
+    } else if (!drifted_flag) {
+      failures.push_back("drift monitor did not flip ledger to DRIFTED: " +
+                         drift_show_body);
     }
 #else
     std::fprintf(stderr,
@@ -631,7 +594,6 @@ int SimulateMain(int argc, char** argv) {
   // can never legitimately read "violated" server-side. Restarts reset the
   // series, so like the counter reconciliation this only runs uncrashed.
   uint64_t health_verdicts_agreed = 0;
-  bool drift_series_seen = false;
   if (options.slo_p99_ms > 0 && daemon.starts() == 1) {
     if (mid_health.empty()) {
       failures.push_back("health plane: mid-run /debug/health never scraped");
@@ -668,27 +630,6 @@ int SimulateMain(int argc, char** argv) {
                        "tempspec_simulate: note: %s client p99 %.2fms exceeds "
                        "the objective (server says '%s')\n",
                        r.relation.c_str(), client_p99_ms, verdict.c_str());
-        }
-      }
-      // Drift attribution: the hostile phase must show up as the ledger
-      // relation's row-at-a-time fallback series — present after the run,
-      // absent in the pre-drift snapshot (wall-clock runs take one).
-      if (options.scenario_drift) {
-        drift_series_seen = HealthHasSeries(body, "ledger", "row_at_a_time");
-        if (!drift_series_seen) {
-          failures.push_back(
-              "drift ran but /debug/health shows no "
-              "{relation=ledger,kind=row_at_a_time} series");
-        }
-        // Not a hard failure: some conforming read shapes (index probes)
-        // legitimately walk rows, so the fallback series can predate the
-        // hostile phase at low volume. The flip is still attributable —
-        // post-drift every ledger read lands there.
-        if (!pre_drift_health.empty() &&
-            HealthHasSeries(pre_drift_health, "ledger", "row_at_a_time")) {
-          std::fprintf(stderr,
-                       "tempspec_simulate: note: ledger row-at-a-time series "
-                       "existed before drift (index-probe reads)\n");
         }
       }
     }
@@ -825,7 +766,6 @@ int SimulateMain(int argc, char** argv) {
     b.iterations = 1;
     b.counters["slo_objectives"] = static_cast<double>(drivers.size());
     b.counters["verdicts_agreed"] = static_cast<double>(health_verdicts_agreed);
-    b.counters["drift_series_seen"] = drift_series_seen ? 1 : 0;
     results.push_back(std::move(b));
   }
 #endif
