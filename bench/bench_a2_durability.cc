@@ -1,7 +1,8 @@
 // A2 — Durability ablation: end-to-end ingest through the relation engine
-// with (a) in-memory backlog, (b) WAL with OS-cache writes, (c) WAL with
-// group fsync (every 64 appends), (d) WAL with fsync per append. Also
-// measures checkpoint cost and recovery (open-with-replay) latency.
+// with (a) no storage (the backlog only counts operations), (b) WAL with
+// OS-cache writes, (c) WAL with group fsync (every 64 appends), (d) WAL with
+// fsync per append. Also measures checkpoint cost (reading the WAL tail back
+// into pages) and recovery (open-with-replay) latency.
 #include <unistd.h>
 
 #include <cstdio>

@@ -1,13 +1,14 @@
 // E9 — Rollback: naive backlog replay (the [JMRS90] representation of
 // Section 2) vs the engine's rollback, a scan of the transaction-time prefix.
 //
-// One random insert/delete op stream is pushed through a TemporalRelation;
-// the naive variant replays the relation's backlog up to each instant
-// (BacklogStore::MaterializeState), the engine variants answer the same
-// instants with QueryExecutor: Rollback for materialized rows, RollbackSet
-// for positions only. Relations are append-only and entered in time-stamp
-// order (Section 3.1), so the rows stored by T are a prefix found by one
-// binary search on the tt_start column.
+// One random insert/delete op stream is pushed through a TemporalRelation.
+// The naive variant replays that stream as the relation's backlog holds it
+// (OperationsOf its elements) up to each instant (MaterializeState); the
+// engine variants answer the same instants with QueryExecutor: Rollback for
+// materialized rows, RollbackSet for positions only. Relations are
+// append-only and entered in time-stamp order (Section 3.1), so the rows
+// stored by T are a prefix found by one binary search on the tt_start
+// column.
 #include "bench_common.h"
 
 using namespace tempspec;
@@ -49,10 +50,10 @@ TimePoint RandomInstant(Random& rng, int64_t operations) {
 
 void BM_Rollback_NaiveReplay(benchmark::State& state) {
   auto relation = MakeRelation(state.range(0));
+  const std::vector<BacklogEntry> ops = OperationsOf(relation->elements());
   Random rng(29);
   for (auto _ : state) {
-    auto result =
-        relation->backlog().MaterializeState(RandomInstant(rng, state.range(0)));
+    auto result = MaterializeState(ops, RandomInstant(rng, state.range(0)));
     benchmark::DoNotOptimize(result);
   }
 }

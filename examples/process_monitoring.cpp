@@ -39,7 +39,7 @@ int main() {
     scenario->Checkpoint().Check();
     std::cout << "Ingested " << scenario->size() << " samples from "
               << config.num_objects << " sensors into " << dir << "\n";
-    std::cout << "Backlog bytes: " << scenario->backlog().EncodedBytes() << "\n\n";
+    std::cout << "Backlog bytes: " << scenario->backlog().encoded_bytes() << "\n\n";
   }  // process "crashes" here: relation object destroyed
 
   // -- Recover and query.

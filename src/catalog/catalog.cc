@@ -1,24 +1,35 @@
 #include "catalog/catalog.h"
 
+#include <cstdio>
 #include <fstream>
 
 #include "lang/ddl.h"
+#include "storage/disk_manager.h"
 
 namespace tempspec {
 
 Status Catalog::SaveSchemas(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
+  // Never rewrite the file in place: a crash mid-write would leave it empty
+  // or torn, and an empty file reopens as an empty catalog. Write a side
+  // file, make it durable, then rename it over the old one and make the
+  // rename durable.
+  const std::string side = path + ".tmp";
+  std::ofstream out(side, std::ios::trunc);
   if (!out) {
-    return Status::IOError("cannot open '", path, "' for writing");
+    return Status::IOError("cannot open '", side, "' for writing");
   }
   for (const auto& [name, rel] : relations_) {
     out << ToDdl(rel->schema(), rel->specializations()) << "\n\n";
   }
-  out.flush();
+  out.close();
   if (!out) {
-    return Status::IOError("write to '", path, "' failed");
+    return Status::IOError("write to '", side, "' failed");
   }
-  return Status::OK();
+  TS_RETURN_NOT_OK(FsyncPath(side));
+  if (std::rename(side.c_str(), path.c_str()) != 0) {
+    return Status::IOError("cannot rename '", side, "' to '", path, "'");
+  }
+  return FsyncParentDirectory(path);
 }
 
 Result<TemporalRelation*> Catalog::CreateRelationFromDdl(const std::string& ddl,

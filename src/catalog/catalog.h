@@ -43,7 +43,8 @@ class Catalog {
   std::string Describe() const;
 
   /// \brief Writes every registered relation as canonical DDL, one statement
-  /// per relation, to `path` (the schema-persistence file).
+  /// per relation, to `path` (the schema-persistence file). The file is
+  /// replaced crash-atomically: a side file is fsynced and renamed over it.
   Status SaveSchemas(const std::string& path) const;
 
  private:

@@ -338,6 +338,16 @@ Result<Value> ParseValueLiteral(QueryCursor& cur, const AttributeDef& attr) {
                                  "' has no parsable type");
 }
 
+// A write statement must be whole before it mutates anything: a trailing
+// token reported after the insert or delete ran would fail a write that was
+// applied and logged.
+Status ExpectEnd(QueryCursor& cur) {
+  if (!cur.AtEnd()) {
+    return Status::InvalidArgument("trailing tokens after statement");
+  }
+  return Status::OK();
+}
+
 // INSERT INTO <rel> OBJECT <n> VALUES (...) VALID AT '<t>' | FROM..TO.
 Result<QueryOutput> ExecuteInsert(const Catalog& catalog, QueryCursor& cur) {
   TS_RETURN_NOT_OK(cur.ExpectWord("INTO"));
@@ -359,20 +369,24 @@ Result<QueryOutput> ExecuteInsert(const Catalog& catalog, QueryCursor& cur) {
   TS_RETURN_NOT_OK(cur.ExpectChar(')'));
 
   TS_RETURN_NOT_OK(cur.ExpectWord("VALID"));
-  Result<ElementSurrogate> inserted = [&]() -> Result<ElementSurrogate> {
-    if (schema.IsEventRelation()) {
-      TS_RETURN_NOT_OK(cur.ExpectWord("AT"));
-      TS_ASSIGN_OR_RETURN(TimePoint vt, cur.TimeLiteral());
-      return rel->InsertEvent(object, vt, Tuple(std::move(values)));
-    }
+  TimePoint vt_begin;
+  TimePoint vt_end;
+  if (schema.IsEventRelation()) {
+    TS_RETURN_NOT_OK(cur.ExpectWord("AT"));
+    TS_ASSIGN_OR_RETURN(vt_begin, cur.TimeLiteral());
+  } else {
     TS_RETURN_NOT_OK(cur.ExpectWord("FROM"));
-    TS_ASSIGN_OR_RETURN(TimePoint vt_begin, cur.TimeLiteral());
+    TS_ASSIGN_OR_RETURN(vt_begin, cur.TimeLiteral());
     TS_RETURN_NOT_OK(cur.ExpectWord("TO"));
-    TS_ASSIGN_OR_RETURN(TimePoint vt_end, cur.TimeLiteral());
-    return rel->InsertInterval(object, vt_begin, vt_end,
-                               Tuple(std::move(values)));
-  }();
-  TS_ASSIGN_OR_RETURN(ElementSurrogate surrogate, std::move(inserted));
+    TS_ASSIGN_OR_RETURN(vt_end, cur.TimeLiteral());
+  }
+  TS_RETURN_NOT_OK(ExpectEnd(cur));
+  TS_ASSIGN_OR_RETURN(
+      ElementSurrogate surrogate,
+      schema.IsEventRelation()
+          ? rel->InsertEvent(object, vt_begin, Tuple(std::move(values)))
+          : rel->InsertInterval(object, vt_begin, vt_end,
+                                Tuple(std::move(values))));
   TS_COUNTER_INC("querylang.inserts");
 
   QueryOutput out;
@@ -392,6 +406,7 @@ Result<QueryOutput> ExecuteDelete(const Catalog& catalog, QueryCursor& cur) {
   TS_RETURN_NOT_OK(cur.ExpectWord("WHERE"));
   TS_RETURN_NOT_OK(cur.ExpectWord("ID"));
   TS_ASSIGN_OR_RETURN(uint64_t surrogate, cur.Number());
+  TS_RETURN_NOT_OK(ExpectEnd(cur));
   TS_RETURN_NOT_OK(rel->LogicalDelete(surrogate));
   TS_COUNTER_INC("querylang.deletes");
 
@@ -477,13 +492,11 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     if (out.explain_only || out.analyze) {
       return Status::InvalidArgument("EXPLAIN does not apply to ", verb);
     }
+    // Both verbs check the end of the statement before they mutate.
     Result<QueryOutput> written = verb == "INSERT"
                                       ? ExecuteInsert(catalog, cur)
                                       : ExecuteDelete(catalog, cur);
     TS_RETURN_NOT_OK(written.status());
-    if (!cur.AtEnd()) {
-      return Status::InvalidArgument("trailing tokens after statement");
-    }
     TS_METRICS_ONLY(ObserveLabeledLatency(
         written.ValueOrDie().relation, verb == "INSERT" ? "insert" : "delete",
         external_trace, query_start);)
@@ -511,9 +524,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
           "TRACES, HEALTH, or HISTORY)");
     }();
     TS_RETURN_NOT_OK(shown.status());
-    if (!cur.AtEnd()) {
-      return Status::InvalidArgument("trailing tokens after statement");
-    }
+    TS_RETURN_NOT_OK(ExpectEnd(cur));
     return shown;
   }
 
@@ -600,9 +611,7 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
         "' (expected CURRENT, TIMESLICE, RANGE, ROLLBACK, SHOW, or EXPLAIN)");
   }
 
-  if (!cur.AtEnd()) {
-    return Status::InvalidArgument("trailing tokens after statement");
-  }
+  TS_RETURN_NOT_OK(ExpectEnd(cur));
   if (out.analyze) out.trace_json = trace.ToJson();
   // Labeled per-query latency: kind is the scan-kernel token the executor
   // recorded (the per-specialization taxonomy), falling back to the verb.

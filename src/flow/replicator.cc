@@ -75,7 +75,9 @@ Result<EventSpecialization> PropagatedSpec(const EventSpecialization& source,
 }
 
 Status Replicator::Sync() {
-  const auto& entries = source_->backlog().entries();
+  // The source's operation stream, derived from its elements: transaction
+  // time only grows, so operations after the last Sync extend the stream.
+  const std::vector<BacklogEntry> entries = OperationsOf(source_->elements());
 
   struct PendingOp {
     TimePoint target_tt;

@@ -75,7 +75,7 @@ enum class FlightCode : uint8_t {
   kRecoveryBegin,
   kRecoveryPages,      // arg0 = entries scanned off pages, arg1 = pages kept
   kRecoveryQuarantine, // arg0 = first damaged page, arg1 = entries dropped
-  kRecoveryWalReplay,  // arg0 = records replayed, arg1 = records delivered
+  kRecoveryWalReplay,  // arg0 = WAL records replayed, arg1 = ops recovered
   kRecoveryEnd,        // arg0 = total recovered ops, arg1 = persisted ops
   kCompactionBegin,    // arg0 = old op count, arg1 = compacted op count
   kCompactionRename,   // arg0 = adopted epoch

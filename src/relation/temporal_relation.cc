@@ -1,7 +1,5 @@
 #include "relation/temporal_relation.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,51 +23,48 @@ Result<std::unique_ptr<TemporalRelation>> TemporalRelation::Open(
   }
   TS_RETURN_NOT_OK(options.specializations.ValidateFor(*options.schema));
 
-  auto backlog_result = BacklogStore::Open(options.storage);
-  TS_RETURN_NOT_OK(backlog_result.status());
-
+  const BacklogStore::Options storage = options.storage;
   auto relation =
       std::unique_ptr<TemporalRelation>(new TemporalRelation(std::move(options)));
-  relation->backlog_ = std::move(backlog_result).ValueOrDie();
-  if (relation->backlog_->size() > 0) {
-    TS_RETURN_NOT_OK(relation->ApplyRecoveredEntries());
-  }
+  TemporalRelation* rel = relation.get();
+  TS_ASSIGN_OR_RETURN(relation->backlog_,
+                      BacklogStore::Open(storage, [rel](BacklogEntry&& entry) {
+                        return rel->ApplyRecovered(std::move(entry));
+                      }));
   return relation;
 }
 
-Status TemporalRelation::ApplyRecoveredEntries() {
+Status TemporalRelation::ApplyRecovered(BacklogEntry&& entry) {
   // Rebuild the in-memory store, indexes, and constraint-checker state from
-  // the recovered backlog, validating as we go.
-  for (const BacklogEntry& entry : backlog_->entries()) {
-    if (entry.op == BacklogOpType::kInsert) {
-      const Element& e = entry.element;
-      TS_RETURN_NOT_OK(e.attributes.Conforms(*schema_));
-      // Recovered elements feed the drift monitor too: the observed profile
-      // describes the data in the relation, not just this process's inserts.
-      TS_METRICS_ONLY(drift_.Observe(e.tt_begin, e.valid.begin()));
-      TS_RETURN_NOT_OK(checker_.OnInsert(e));
-      by_surrogate_[e.element_surrogate] = elements_.size();
-      if (partitions_.find(e.object_surrogate) == partitions_.end()) {
-        object_order_.push_back(e.object_surrogate);
-      }
-      partitions_[e.object_surrogate].push_back(elements_.size());
-      IndexElement(e, elements_.size());
-      elements_.push_back(e);
-      surrogates_.EnsureAbove(e.element_surrogate);
-      clock_->EnsureAfter(e.tt_begin);
-    } else {
-      auto it = by_surrogate_.find(entry.target);
-      if (it == by_surrogate_.end()) {
-        return Status::Corruption("recovered delete of unknown element #",
-                                  entry.target);
-      }
-      Element& e = elements_[it->second];
-      e.tt_end = entry.tt;
-      stamps_.SetTtEnd(it->second, entry.tt);
-      TS_RETURN_NOT_OK(checker_.OnLogicalDelete(e));
-      clock_->EnsureAfter(entry.tt);
+  // the recovered backlog, one operation at a time, validating as we go.
+  if (entry.op == BacklogOpType::kInsert) {
+    Element& e = entry.element;
+    TS_RETURN_NOT_OK(e.attributes.Conforms(*schema_));
+    // Recovered elements feed the drift monitor too: the observed profile
+    // describes the data in the relation, not just this process's inserts.
+    TS_METRICS_ONLY(drift_.Observe(e.tt_begin, e.valid.begin()));
+    TS_RETURN_NOT_OK(checker_.OnInsert(e));
+    by_surrogate_[e.element_surrogate] = elements_.size();
+    if (partitions_.find(e.object_surrogate) == partitions_.end()) {
+      object_order_.push_back(e.object_surrogate);
     }
+    partitions_[e.object_surrogate].push_back(elements_.size());
+    IndexElement(e, elements_.size());
+    surrogates_.EnsureAbove(e.element_surrogate);
+    clock_->EnsureAfter(e.tt_begin);
+    elements_.push_back(std::move(e));
+    return Status::OK();
   }
+  auto it = by_surrogate_.find(entry.target);
+  if (it == by_surrogate_.end()) {
+    return Status::Corruption("recovered delete of unknown element #",
+                              entry.target);
+  }
+  Element& e = elements_[it->second];
+  e.tt_end = entry.tt;
+  stamps_.SetTtEnd(it->second, entry.tt);
+  TS_RETURN_NOT_OK(checker_.OnLogicalDelete(e));
+  clock_->EnsureAfter(entry.tt);
   return Status::OK();
 }
 
@@ -168,11 +163,7 @@ Result<ElementSurrogate> TemporalRelation::InsertAt(TimePoint tt,
   // extension outside the declared types.
   TS_RETURN_NOT_OK(checker_.OnInsert(e));
 
-  BacklogEntry entry;
-  entry.op = BacklogOpType::kInsert;
-  entry.tt = tt;
-  entry.element = e;
-  TS_RETURN_NOT_OK(backlog_->Append(entry));
+  TS_RETURN_NOT_OK(backlog_->AppendInsert(e));
 
   by_surrogate_[e.element_surrogate] = elements_.size();
   if (partitions_.find(object) == partitions_.end()) {
@@ -207,11 +198,7 @@ Status TemporalRelation::LogicalDeleteAt(TimePoint tt,
   probe.tt_end = tt;
   TS_RETURN_NOT_OK(checker_.OnLogicalDelete(probe));
 
-  BacklogEntry entry;
-  entry.op = BacklogOpType::kLogicalDelete;
-  entry.tt = tt;
-  entry.target = surrogate;
-  TS_RETURN_NOT_OK(backlog_->Append(entry));
+  TS_RETURN_NOT_OK(backlog_->AppendDelete(tt, surrogate));
 
   e.tt_end = tt;
   stamps_.SetTtEnd(it->second, tt);
@@ -266,60 +253,37 @@ Result<size_t> TemporalRelation::VacuumBefore(TimePoint horizon) {
   // one retained trace, so a slow vacuum is attributable after the fact.
   TraceContext span;
   span.Begin("background.vacuum");
-  // Survivors are copied into the compacted backlog, not moved out of
-  // elements_: ReplaceAll can fail, and the relation must then keep serving
-  // its unchanged in-memory store.
-  const auto survives = [horizon](const Element& e) {
-    // Only elements whose existence interval has closed can be dead;
-    // current elements (open tt_d) always survive.
-    return e.tt_end.IsMax() || e.tt_end > horizon;
-  };
-  size_t kept = 0;
+  // Survivors are copied, not moved out of elements_: ReplaceAll can fail,
+  // and the relation must then keep serving its unchanged in-memory store.
+  std::vector<Element> survivors;
   {
     TraceContext::StageScope stage(&span, "collect");
-    for (const Element& e : elements_) kept += survives(e) ? 1 : 0;
+    for (const Element& e : elements_) {
+      // Only elements whose existence interval has closed can be dead;
+      // current elements (open tt_d) always survive.
+      if (e.tt_end.IsMax() || e.tt_end > horizon) survivors.push_back(e);
+    }
   }
-  const size_t removed = elements_.size() - kept;
-  span.AddCounter("elements_kept", kept);
+  const size_t removed = elements_.size() - survivors.size();
+  span.AddCounter("elements_kept", survivors.size());
   span.AddCounter("elements_dropped", removed);
   if (removed == 0) return size_t{0};
 
   // Compact the backlog: re-derive the operation history of the survivors.
-  std::vector<BacklogEntry> compacted;
   {
-    TraceContext::StageScope stage(&span, "compact");
-    compacted.reserve(kept * 2);
-    for (const Element& e : elements_) {
-      if (!survives(e)) continue;
-      BacklogEntry ins;
-      ins.op = BacklogOpType::kInsert;
-      ins.tt = e.tt_begin;
-      ins.element = e;
-      ins.element.tt_end = TimePoint::Max();  // the delete is its own entry
-      compacted.push_back(std::move(ins));
+    std::vector<BacklogEntry> compacted;
+    {
+      TraceContext::StageScope stage(&span, "compact");
+      compacted = OperationsOf(survivors);
     }
-    for (const Element& e : elements_) {
-      if (!survives(e) || e.tt_end.IsMax()) continue;
-      BacklogEntry del;
-      del.op = BacklogOpType::kLogicalDelete;
-      del.tt = e.tt_end;
-      del.target = e.element_surrogate;
-      compacted.push_back(std::move(del));
-    }
-    std::sort(compacted.begin(), compacted.end(),
-              [](const BacklogEntry& a, const BacklogEntry& b) {
-                return a.tt < b.tt;
-              });
+    TS_RETURN_NOT_OK(backlog_->ReplaceAll(compacted, &span));
   }
-  TS_RETURN_NOT_OK(backlog_->ReplaceAll(std::move(compacted), &span));
 
-  // The compacted backlog is committed: compact the in-memory store (order
-  // preserved) and rebuild the indexes over it.
+  // The compacted backlog is committed: adopt the survivors (order
+  // preserved) and rebuild the indexes over them.
   {
     TraceContext::StageScope reindex_stage(&span, "reindex");
-    elements_.erase(std::remove_if(elements_.begin(), elements_.end(),
-                                   [&](const Element& e) { return !survives(e); }),
-                    elements_.end());
+    elements_ = std::move(survivors);
     by_surrogate_.clear();
     partitions_.clear();
     object_order_.clear();
@@ -347,12 +311,10 @@ TemporalRelation::Stats TemporalRelation::GetStats() const {
   }
   stats.objects = object_order_.size();
   stats.backlog_operations = backlog_->size();
-  stats.backlog_bytes = backlog_->EncodedBytes();
+  stats.backlog_bytes = backlog_->encoded_bytes();
+  stats.last_transaction = backlog_->last_tt();
   if (!elements_.empty()) {
     stats.first_transaction = elements_.front().tt_begin;
-  }
-  for (const BacklogEntry& entry : backlog_->entries()) {
-    if (entry.tt > stats.last_transaction) stats.last_transaction = entry.tt;
   }
   return stats;
 }

@@ -77,7 +77,6 @@ class TemporalRelation {
   const Schema& schema() const { return *schema_; }
   const SpecializationSet& specializations() const { return specs_; }
   TransactionClock& clock() { return *clock_; }
-  BacklogStore& backlog() { return *backlog_; }
   const BacklogStore& backlog() const { return *backlog_; }
 
   // -- Updates ---------------------------------------------------------------
@@ -140,7 +139,8 @@ class TemporalRelation {
   /// specializations (batch semantics, including deletion anchors).
   Status CheckExtension() const;
 
-  /// \brief Persists in-memory backlog operations (durable relations).
+  /// \brief Moves the backlog's WAL tail into its page file (durable
+  /// relations).
   Status Checkpoint() { return backlog_->Checkpoint(); }
 
   /// \brief Physical deletion: discards every element whose existence
@@ -179,7 +179,7 @@ class TemporalRelation {
   Result<ElementSurrogate> InsertAt(TimePoint tt, ObjectSurrogate object,
                                     ValidTime valid, Tuple attributes);
   Status LogicalDeleteAt(TimePoint tt, ElementSurrogate surrogate);
-  Status ApplyRecoveredEntries();
+  Status ApplyRecovered(BacklogEntry&& entry);
   void IndexElement(const Element& e, size_t position);
 
   SchemaPtr schema_;

@@ -1,5 +1,6 @@
 #include "storage/backlog.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
@@ -20,19 +21,25 @@ constexpr uint32_t kBacklogMagic = 0x544C4B42;  // "BKLT"
 // Earlier versions (v1: trusted count header, no record CRCs; v2: no
 // epoch) are rejected at open rather than mis-recovered as empty.
 constexpr uint32_t kBacklogVersion = 3;
-}  // namespace
 
-std::string BacklogEntry::Encode() const {
+std::string EncodeOp(BacklogOpType op, TimePoint tt, const Element* element,
+                     ElementSurrogate target) {
   std::string out;
   Encoder enc(&out);
   enc.PutU8(static_cast<uint8_t>(op));
   enc.PutTimePoint(tt);
   if (op == BacklogOpType::kInsert) {
-    EncodeElement(element, &enc);
+    EncodeElement(*element, &enc);
   } else {
     enc.PutU64(target);
   }
   return out;
+}
+
+}  // namespace
+
+std::string BacklogEntry::Encode() const {
+  return EncodeOp(op, tt, &element, target);
 }
 
 Result<BacklogEntry> BacklogEntry::Decode(std::string_view payload) {
@@ -53,7 +60,8 @@ Result<BacklogEntry> BacklogEntry::Decode(std::string_view payload) {
   return entry;
 }
 
-Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(Options options) {
+Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(
+    Options options, const BacklogVisitor& on_recovered) {
   auto store = std::unique_ptr<BacklogStore>(new BacklogStore());
   if (options.directory.empty()) return store;
 
@@ -73,7 +81,7 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(Options options) {
                                               options.buffer_pool_pages);
   {
     TraceContext::StageScope stage(&span, "page_scan");
-    TS_RETURN_NOT_OK(store->RecoverFromPages());
+    TS_RETURN_NOT_OK(store->RecoverFromPages(on_recovered));
   }
 
   TS_ASSIGN_OR_RETURN(store->wal_,
@@ -81,45 +89,65 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(Options options) {
                                           options.sync_mode,
                                           options.sync_every,
                                           store->epoch_));
+  uint64_t replayed = 0;
+  {
+    TraceContext::StageScope stage(&span, "wal_replay");
+    TS_ASSIGN_OR_RETURN(
+        replayed, store->ReplayWal([&](std::string_view payload) -> Status {
+          TS_ASSIGN_OR_RETURN(BacklogEntry entry, BacklogEntry::Decode(payload));
+          return store->Deliver(std::move(entry), payload.size(), on_recovered);
+        }));
+  }
+  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryWalReplay,
+            replayed, store->size_, "");
+  store->wal_->SetNextLsn(store->size_);
+  TS_COUNTER_INC("storage.backlog.recoveries");
+  TS_COUNTER_ADD("storage.backlog.recovered_entries", store->size_);
+  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryEnd, store->size_,
+            store->persisted_entries_, "");
+  span.AddCounter("recovered_entries", store->size_);
+  span.AddCounter("persisted_entries", store->persisted_entries_);
+  span.AddCounter("wal_replayed", replayed);
+  RetainedTraces::Instance().Record(span);
+  return store;
+}
+
+void BacklogStore::Count(size_t bytes, TimePoint tt) {
+  ++size_;
+  encoded_bytes_ += bytes;
+  last_tt_ = std::max(last_tt_, tt);
+}
+
+Status BacklogStore::Deliver(BacklogEntry&& entry, size_t bytes,
+                             const BacklogVisitor& visitor) {
+  Count(bytes, entry.tt);
+  return visitor ? visitor(std::move(entry)) : Status::OK();
+}
+
+Result<uint64_t> BacklogStore::ReplayWal(
+    const std::function<Status(std::string_view payload)>& fn) {
   // The WAL holds operations appended since the last completed checkpoint —
   // plus, after a crash between checkpoint and WAL reset, stale records the
   // pages already cover. Records of older epochs (a compaction whose WAL
   // reset never became durable) are filtered inside Replay; within the
   // current epoch, LSNs are global operation indices: skip what the pages
   // hold, reject gaps (a gap means durable data was lost).
-  const uint64_t persisted = store->persisted_entries_;
+  const uint64_t persisted = persisted_entries_;
   uint64_t expected = persisted;
-  uint64_t replayed_count = 0;
-  {
-    TraceContext::StageScope stage(&span, "wal_replay");
-    auto replayed = store->wal_->Replay(
-        [&](uint64_t lsn, std::string_view payload) -> Status {
-          if (lsn < persisted) return Status::OK();  // already checkpointed
-          if (lsn != expected) {
-            return Status::Corruption(
-                "WAL gap after a damaged page file: pages hold ", persisted,
-                " operations, expected WAL lsn ", expected, ", found ", lsn);
-          }
-          TS_ASSIGN_OR_RETURN(BacklogEntry entry, BacklogEntry::Decode(payload));
-          store->entries_.push_back(std::move(entry));
-          ++expected;
-          return Status::OK();
-        });
-    TS_RETURN_NOT_OK(replayed.status());
-    replayed_count = replayed.ValueOrDie();
-  }
-  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryWalReplay,
-            replayed_count, store->entries_.size(), "");
-  store->wal_->SetNextLsn(store->entries_.size());
-  TS_COUNTER_INC("storage.backlog.recoveries");
-  TS_COUNTER_ADD("storage.backlog.recovered_entries", store->entries_.size());
-  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryEnd,
-            store->entries_.size(), store->persisted_entries_, "");
-  span.AddCounter("recovered_entries", store->entries_.size());
-  span.AddCounter("persisted_entries", store->persisted_entries_);
-  span.AddCounter("wal_replayed", replayed_count);
-  RetainedTraces::Instance().Record(span);
-  return store;
+  TS_RETURN_NOT_OK(
+      wal_->Replay([&](uint64_t lsn, std::string_view payload) -> Status {
+            if (lsn < persisted) return Status::OK();  // already checkpointed
+            if (lsn != expected) {
+              return Status::Corruption(
+                  "WAL gap after a damaged page file: pages hold ", persisted,
+                  " operations, expected WAL lsn ", expected, ", found ", lsn);
+            }
+            TS_RETURN_NOT_OK(fn(payload));
+            ++expected;
+            return Status::OK();
+          })
+          .status());
+  return expected - persisted;
 }
 
 Status BacklogStore::WriteHeaderPage(BufferPool* pool, uint64_t epoch) {
@@ -137,7 +165,7 @@ Status BacklogStore::WriteHeaderPage(BufferPool* pool, uint64_t epoch) {
   return pool->FlushAll();
 }
 
-Status BacklogStore::RecoverFromPages() {
+Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
   if (disk_->page_count() == 0) {
     // Fresh file: create and flush the header page, so a process that exits
     // without ever checkpointing still leaves a well-formed file behind.
@@ -201,7 +229,11 @@ Status BacklogStore::RecoverFromPages() {
   // completed its WAL reset).
   uint64_t keep_pages = disk_->page_count();
   for (PageId id = 1; id < disk_->page_count(); ++id) {
-    const size_t page_first_entry = entries_.size();
+    // A page is delivered only once all of its records check out: a damaged
+    // page's valid record prefix is dropped along with it, since the page
+    // belongs to an unfinished checkpoint batch whose operations the WAL
+    // replay restores.
+    std::vector<std::pair<BacklogEntry, size_t>> records;
     bool damaged = false;
     {
       TS_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(id));
@@ -227,16 +259,15 @@ Status BacklogStore::RecoverFromPages() {
           damaged = true;
           break;
         }
-        entries_.push_back(std::move(entry).ValueOrDie());
+        records.emplace_back(std::move(entry).ValueOrDie(), payload.size());
       }
     }
     if (damaged) {
-      // The page's valid record prefix is dropped along with the page: a
-      // damaged page belongs to an unfinished checkpoint batch, so the WAL
-      // replay below the caller restores those operations.
-      entries_.resize(page_first_entry);
       keep_pages = id;
       break;
+    }
+    for (auto& [entry, bytes] : records) {
+      TS_RETURN_NOT_OK(Deliver(std::move(entry), bytes, visitor));
     }
   }
   if (keep_pages < disk_->page_count()) {
@@ -245,19 +276,30 @@ Status BacklogStore::RecoverFromPages() {
     pool_ = std::make_unique<BufferPool>(disk_.get(), buffer_pool_pages_);
     TS_RETURN_NOT_OK(disk_->TruncateToPages(keep_pages));
   }
-  persisted_entries_ = entries_.size();
-  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryPages,
-            entries_.size(), keep_pages, "");
+  persisted_entries_ = size_;
+  TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryPages, size_,
+            keep_pages, "");
   return Status::OK();
 }
 
-Status BacklogStore::Append(const BacklogEntry& entry) {
+Status BacklogStore::AppendInsert(const Element& e) {
+  return AppendPayload(
+      EncodeOp(BacklogOpType::kInsert, e.tt_begin, &e, kInvalidElementSurrogate),
+      e.tt_begin);
+}
+
+Status BacklogStore::AppendDelete(TimePoint tt, ElementSurrogate target) {
+  return AppendPayload(
+      EncodeOp(BacklogOpType::kLogicalDelete, tt, nullptr, target), tt);
+}
+
+Status BacklogStore::AppendPayload(const std::string& payload, TimePoint tt) {
   if (io_failed_) {
     return Status::IOError(
         "backlog store is read-only after an IO failure; reopen to recover");
   }
   if (wal_) {
-    auto appended = wal_->Append(entry.Encode());
+    auto appended = wal_->Append(payload);
     if (!appended.ok()) {
       // The WAL tail may be torn: a later successful append would land
       // beyond the tear and be unreachable at replay. Fail stop.
@@ -265,15 +307,16 @@ Status BacklogStore::Append(const BacklogEntry& entry) {
       return appended.status();
     }
   }
-  entries_.push_back(entry);
+  Count(payload.size(), tt);
   TS_COUNTER_INC("storage.backlog.appends");
   return Status::OK();
 }
 
-std::vector<Element> BacklogStore::MaterializeState(TimePoint tt) const {
+std::vector<Element> MaterializeState(const std::vector<BacklogEntry>& ops,
+                                      TimePoint tt) {
   std::unordered_map<ElementSurrogate, Element> alive;
-  for (const BacklogEntry& e : entries_) {
-    if (e.tt > tt) break;  // entries are in transaction-time order
+  for (const BacklogEntry& e : ops) {
+    if (e.tt > tt) break;  // operations are in transaction-time order
     if (e.op == BacklogOpType::kInsert) {
       alive.emplace(e.element.element_surrogate, e.element);
     } else {
@@ -286,10 +329,10 @@ std::vector<Element> BacklogStore::MaterializeState(TimePoint tt) const {
   return out;
 }
 
-std::vector<Element> BacklogStore::ReconstructElements() const {
+std::vector<Element> ReconstructElements(const std::vector<BacklogEntry>& ops) {
   std::vector<Element> out;
   std::unordered_map<ElementSurrogate, size_t> index;
-  for (const BacklogEntry& e : entries_) {
+  for (const BacklogEntry& e : ops) {
     if (e.op == BacklogOpType::kInsert) {
       index[e.element.element_surrogate] = out.size();
       out.push_back(e.element);
@@ -301,14 +344,36 @@ std::vector<Element> BacklogStore::ReconstructElements() const {
   return out;
 }
 
-Status BacklogStore::PersistRange(BufferPool* pool, size_t begin, size_t end) {
-  if (begin >= end) return Status::OK();
+std::vector<BacklogEntry> OperationsOf(std::span<const Element> elements) {
+  std::vector<BacklogEntry> ops;
+  ops.reserve(elements.size());
+  for (const Element& e : elements) {
+    BacklogEntry& ins = ops.emplace_back();
+    ins.tt = e.tt_begin;
+    ins.element = e;
+    ins.element.tt_end = TimePoint::Max();  // the delete is its own operation
+    if (e.tt_end.IsMax()) continue;
+    BacklogEntry& del = ops.emplace_back();
+    del.op = BacklogOpType::kLogicalDelete;
+    del.tt = e.tt_end;
+    del.target = e.element_surrogate;
+  }
+  std::stable_sort(ops.begin(), ops.end(),
+                   [](const BacklogEntry& a, const BacklogEntry& b) {
+                     if (a.tt != b.tt) return a.tt < b.tt;
+                     return a.op == BacklogOpType::kLogicalDelete &&
+                            b.op == BacklogOpType::kInsert;
+                   });
+  return ops;
+}
+
+Status BacklogStore::PersistPayloads(BufferPool* pool,
+                                     const std::vector<std::string>& payloads) {
   // Always start the batch on a fresh page: the tail page of the previous
   // checkpoint holds records the WAL no longer covers, and a torn in-place
   // rewrite of that page would destroy durable data.
   PageId current = kInvalidPageId;
-  for (size_t i = begin; i < end; ++i) {
-    const std::string payload = entries_[i].Encode();
+  for (const std::string& payload : payloads) {
     std::string record;
     Encoder enc(&record);
     enc.PutU32(Crc32(payload));
@@ -335,20 +400,37 @@ Status BacklogStore::PersistRange(BufferPool* pool, size_t begin, size_t end) {
 
 Status BacklogStore::CheckpointInternal(TraceContext* trace) {
   // Order matters: an operation must never exist only in a reset WAL.
-  // 1. Persist the new batch onto fresh pages and make them durable.
+  // 1. Read the batch back from the WAL, through the recovery filter. A
+  //    short read (a WAL damaged or cut behind the store's back) must not
+  //    become a short batch followed by a WAL reset: that would drop the
+  //    missing operations for good.
+  const uint64_t pending = size_ - persisted_entries_;
+  std::vector<std::string> payloads;
+  payloads.reserve(pending);
+  {
+    TraceContext::StageScope stage(trace, "wal_read");
+    TS_RETURN_NOT_OK(ReplayWal([&](std::string_view payload) {
+                       payloads.emplace_back(payload);
+                       return Status::OK();
+                     }).status());
+  }
+  if (payloads.size() != pending) {
+    return Status::Corruption("checkpoint read ", payloads.size(), " of ",
+                              pending, " pending operations back from the WAL");
+  }
+  // 2. Persist the batch onto fresh pages and make them durable.
   {
     TraceContext::StageScope stage(trace, "persist");
-    TS_RETURN_NOT_OK(
-        PersistRange(pool_.get(), persisted_entries_, entries_.size()));
+    TS_RETURN_NOT_OK(PersistPayloads(pool_.get(), payloads));
     TS_RETURN_NOT_OK(pool_->FlushAll());
   }
-  // 2. Only now discard the WAL (truncate + fsync file and directory).
+  // 3. Only now discard the WAL (truncate + fsync file and directory).
   {
     TraceContext::StageScope stage(trace, "wal_reset");
     TS_RETURN_NOT_OK(wal_->Reset());
   }
-  wal_->SetNextLsn(entries_.size());
-  persisted_entries_ = entries_.size();
+  wal_->SetNextLsn(size_);
+  persisted_entries_ = size_;
   return Status::OK();
 }
 
@@ -360,12 +442,13 @@ Status BacklogStore::Checkpoint() {
   }
   TraceContext span;
   span.Begin("background.checkpoint");
-  const uint64_t pending = entries_.size() - persisted_entries_;
+  const uint64_t pending = size_ - persisted_entries_;
   TS_FLIGHT(FlightCategory::kCheckpoint, FlightCode::kCheckpointBegin, pending,
-            entries_.size(), "");
+            size_, "");
   Status st = CheckpointInternal(&span);
   // A half-completed checkpoint left pages the scan-based recovery would
-  // double-count if we blindly re-ran it; fail stop until reopened.
+  // double-count if we blindly re-ran it, and a short read-back means the
+  // WAL lost acknowledged operations; fail stop until reopened.
   if (!st.ok()) io_failed_ = true;
   if (st.ok()) {
     TS_COUNTER_INC("storage.backlog.checkpoints");
@@ -379,18 +462,32 @@ Status BacklogStore::Checkpoint() {
   return st;
 }
 
-Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
+Status BacklogStore::ReplaceAll(const std::vector<BacklogEntry>& entries,
                                 TraceContext* trace) {
   if (io_failed_) {
     return Status::IOError(
         "backlog store is read-only after an IO failure; reopen to recover");
   }
-  const uint64_t old_count = entries_.size();
-  entries_ = std::move(entries);
-  persisted_entries_ = 0;
-  if (!wal_) return Status::OK();
-  TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionBegin,
-            old_count, entries_.size(), "");
+  std::vector<std::string> payloads;
+  payloads.reserve(entries.size());
+  size_t bytes = 0;
+  TimePoint last_tt = TimePoint::Min();
+  for (const BacklogEntry& e : entries) {
+    bytes += payloads.emplace_back(e.Encode()).size();
+    last_tt = std::max(last_tt, e.tt);
+  }
+  const auto adopt_counters = [&] {
+    size_ = entries.size();
+    encoded_bytes_ = bytes;
+    last_tt_ = last_tt;
+    persisted_entries_ = wal_ ? size_ : 0;
+  };
+  if (!wal_) {
+    adopt_counters();
+    return Status::OK();
+  }
+  TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionBegin, size_,
+            entries.size(), "");
 
   // Build the compacted generation in a side file and adopt it with an
   // atomic rename: a crash at any point leaves either the old complete
@@ -413,7 +510,7 @@ Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
       }
       side_pool = std::make_unique<BufferPool>(side.get(), buffer_pool_pages_);
       TS_RETURN_NOT_OK(WriteHeaderPage(side_pool.get(), new_epoch));
-      TS_RETURN_NOT_OK(PersistRange(side_pool.get(), 0, entries_.size()));
+      TS_RETURN_NOT_OK(PersistPayloads(side_pool.get(), payloads));
       TS_RETURN_NOT_OK(side_pool->FlushAll());
     }
     {
@@ -428,27 +525,21 @@ Status BacklogStore::ReplaceAll(std::vector<BacklogEntry> entries,
     disk_ = std::move(side);
     epoch_ = new_epoch;
     wal_->SetEpoch(new_epoch);
+    adopt_counters();
     {
       TraceContext::StageScope stage(trace, "wal_reset");
       TS_RETURN_NOT_OK(wal_->Reset());
     }
-    wal_->SetNextLsn(entries_.size());
-    persisted_entries_ = entries_.size();
+    wal_->SetNextLsn(size_);
     return Status::OK();
   }();
   if (!st.ok()) io_failed_ = true;
   if (st.ok()) {
     TS_COUNTER_INC("storage.backlog.compactions");
-    TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionEnd,
-              entries_.size(), epoch_, "");
+    TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionEnd, size_,
+              epoch_, "");
   }
   return st;
-}
-
-size_t BacklogStore::EncodedBytes() const {
-  size_t total = 0;
-  for (const auto& e : entries_) total += e.Encode().size();
-  return total;
 }
 
 }  // namespace tempspec

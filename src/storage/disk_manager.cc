@@ -13,22 +13,25 @@
 
 namespace tempspec {
 
-Status FsyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+Status FsyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    return Status::IOError("cannot open directory '", dir, "' for fsync: ",
+    return Status::IOError("cannot open '", path, "' for fsync: ",
                            std::strerror(errno));
   }
   const int rc = ::fsync(fd);
   const int err = errno;
   ::close(fd);
   if (rc != 0) {
-    return Status::IOError("directory fsync failed on '", dir, "': ",
+    return Status::IOError("fsync failed on '", path, "': ",
                            std::strerror(err));
   }
   return Status::OK();
+}
+
+Status FsyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return FsyncPath(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
 Result<std::unique_ptr<DiskManager>> DiskManager::Open(const std::string& path) {

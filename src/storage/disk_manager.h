@@ -10,6 +10,9 @@
 
 namespace tempspec {
 
+/// \brief fsyncs the file or directory at `path`.
+Status FsyncPath(const std::string& path);
+
 /// \brief fsyncs the directory containing `path`, making renames and
 /// truncations of directory entries durable.
 Status FsyncParentDirectory(const std::string& path);

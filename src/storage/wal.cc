@@ -46,6 +46,18 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(const std::string& pa
   auto replayed = wal->Replay(
       [](uint64_t, std::string_view) { return Status::OK(); });
   TS_RETURN_NOT_OK(replayed.status());
+  // Cut a torn or corrupt tail off the file: appends land at its end, and a
+  // record written beyond the damage would be unreachable at every later
+  // replay, so an acknowledged write would be lost at the next restart.
+  if (wal->intact_bytes_ < wal->file_size_) {
+    if (::ftruncate(fd, static_cast<off_t>(wal->intact_bytes_)) != 0 ||
+        ::fsync(fd) != 0) {
+      return Status::IOError("cannot cut the damaged tail of WAL '", path,
+                             "': ", std::strerror(errno));
+    }
+    wal->file_size_ = wal->intact_bytes_;
+    wal->synced_bytes_ = wal->intact_bytes_;
+  }
   return wal;
 }
 
@@ -228,6 +240,7 @@ Result<uint64_t> WriteAheadLog::Replay(
     pos += kRecordHeaderSize + len;
   }
   if (any) next_lsn_ = max_lsn_seen + 1;
+  intact_bytes_ = pos;
   return count;
 }
 

@@ -2,7 +2,8 @@
 //
 // The backlog store writes every operation here before applying it; recovery
 // replays the log. A torn tail (partial record, CRC mismatch) terminates
-// replay cleanly — standard crash semantics.
+// replay cleanly — standard crash semantics — and Open() cuts it off the
+// file, so later appends stay reachable.
 //
 // Fault model (exercised by tests/storage/crash_recovery_test.cc through the
 // failpoint seam in util/failpoint.h):
@@ -110,6 +111,7 @@ class WriteAheadLog {
   uint64_t bytes_written_ = 0;
   uint64_t file_size_ = 0;    // current file length in bytes
   uint64_t synced_bytes_ = 0; // durable watermark (<= file_size_)
+  uint64_t intact_bytes_ = 0; // end of the last intact record at replay
 };
 
 }  // namespace tempspec

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
+
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
@@ -382,6 +386,55 @@ TEST_F(QueryLangTest, WriteStatementErrors) {
                             "EXPLAIN INSERT INTO samples OBJECT 1 VALUES "
                             "(1, 1.0) VALID AT '1992-02-03 13:00:00'")
                    .ok());
+}
+
+TEST_F(QueryLangTest, TrailingTokensFailAWriteBeforeItIsApplied) {
+  // A write reported as failed must not have been applied or logged: the
+  // end of the statement is checked before the relation is touched.
+  char pattern[] = "/tmp/tempspec_qlang_XXXXXX";
+  ASSERT_NE(::mkdtemp(pattern), nullptr);
+  const std::string dir = pattern;
+  RelationOptions base;
+  base.clock = clock_;
+  base.storage.directory = dir;
+  ASSERT_OK(catalog_
+                .CreateRelationFromDdl(
+                    "CREATE EVENT RELATION g (id INT64 KEY, v DOUBLE) "
+                    "GRANULARITY 1s",
+                    base)
+                .status());
+  ASSERT_OK(ExecuteQuery(catalog_,
+                         "INSERT INTO g OBJECT 1 VALUES (1, 2.5) "
+                         "VALID AT '1970-01-01 00:00:05'")
+                .status());
+  ASSERT_OK_AND_ASSIGN(TemporalRelation * g, catalog_.Get("g"));
+  const ElementSurrogate row = g->elements()[0].element_surrogate;
+  const auto current_rows = [&] {
+    return ExecuteQuery(catalog_, "CURRENT g").ValueOrDie().elements.size();
+  };
+  MetricCounter& appends =
+      MetricsRegistry::Instance().GetCounter("storage.wal.appends");
+  const uint64_t appends_before = appends.Value();
+
+  auto inserted = ExecuteQuery(catalog_,
+                               "INSERT INTO g OBJECT 1 VALUES (1, 2.5) "
+                               "VALID AT '1970-01-01 00:00:05' garbage");
+  EXPECT_TRUE(inserted.status().IsInvalidArgument());
+  EXPECT_NE(inserted.status().ToString().find("trailing tokens"),
+            std::string::npos);
+  EXPECT_EQ(current_rows(), 1u);
+
+  auto deleted = ExecuteQuery(
+      catalog_, "DELETE FROM g WHERE ID " + std::to_string(row) + " junk");
+  EXPECT_TRUE(deleted.status().IsInvalidArgument());
+  EXPECT_NE(deleted.status().ToString().find("trailing tokens"),
+            std::string::npos);
+  EXPECT_EQ(current_rows(), 1u);
+
+  EXPECT_EQ(appends.Value(), appends_before);
+  EXPECT_EQ(g->size(), 1u);
+  EXPECT_EQ(g->backlog().size(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(QueryLangTest, IsWriteStatementClassification) {

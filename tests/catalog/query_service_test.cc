@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -159,6 +162,48 @@ TEST(QueryServiceTest, ReadRepliesAreByteIdenticalAcrossReopen) {
       EXPECT_EQ(reply, before[i]) << reads[i];
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QueryServiceTest, SchemaFileIsReplacedNotRewrittenInPlace) {
+  // schemas.sql is replaced by rename: a reader of the old file keeps the
+  // old, complete contents, and a crash mid-write can never leave the live
+  // path empty or torn (an empty file would reopen as an empty catalog).
+  const std::string dir = MakeTempDir();
+  ASSERT_FALSE(dir.empty());
+  QueryServiceOptions options;
+  options.data_dir = dir;
+  QueryService service(options);
+  ASSERT_OK(service.Open());
+  ASSERT_OK(service.Execute(kCreate, nullptr).status());
+  const std::string path = dir + "/schemas.sql";
+  const int old_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(old_fd, 0);
+  ASSERT_OK(service.Execute(kCreateDeclared, nullptr).status());
+
+  const auto read_all = [](int fd) {
+    std::string out;
+    char buf[4096];
+    off_t off = 0;
+    ssize_t n;
+    while ((n = ::pread(fd, buf, sizeof(buf), off)) > 0) {
+      out.append(buf, static_cast<size_t>(n));
+      off += n;
+    }
+    return out;
+  };
+  const std::string old_text = read_all(old_fd);
+  ::close(old_fd);
+  EXPECT_NE(old_text.find("RELATION readings"), std::string::npos) << old_text;
+  EXPECT_EQ(old_text.find("RELATION feed"), std::string::npos) << old_text;
+
+  const int new_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(new_fd, 0);
+  const std::string new_text = read_all(new_fd);
+  ::close(new_fd);
+  EXPECT_NE(new_text.find("RELATION readings"), std::string::npos);
+  EXPECT_NE(new_text.find("RELATION feed"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove_all(dir);
 }
 

@@ -274,12 +274,8 @@ TEST(FlightRecorderCompileFlagTest, EngineWorkloadRecordsIffCompiledIn) {
   options.directory = dir.path();
   ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
   for (int64_t i = 0; i < 8; ++i) {
-    BacklogEntry e;
-    e.op = BacklogOpType::kInsert;
-    e.tt = T(10 + i);
-    e.element = MakeEventElement(T(10 + i), T(5 + i),
-                                 static_cast<ElementSurrogate>(i + 1), 1);
-    ASSERT_OK(store->Append(e));
+    ASSERT_OK(store->AppendInsert(MakeEventElement(
+        T(10 + i), T(5 + i), static_cast<ElementSurrogate>(i + 1), 1)));
   }
   ASSERT_OK(store->Checkpoint());
 

@@ -264,6 +264,56 @@ TEST(RelationTest, StatsReflectPopulation) {
   EXPECT_EQ(stats.last_transaction, T(1020));
 }
 
+TEST(RelationTest, BacklogStatsSurviveReopenAndCheckpoint) {
+  // The backlog figures come from the store's counters, not from a walk
+  // over operations: a reopen rebuilds them from the recovered stream, and
+  // a checkpoint only moves operations from the WAL into pages.
+  TempDir dir;
+  const auto durable = [&] {
+    RelationOptions options = BaseOptions();
+    options.storage.directory = dir.path();
+    return options;
+  };
+  const auto expect_same = [](const TemporalRelation::Stats& a,
+                              const TemporalRelation::Stats& b) {
+    EXPECT_EQ(a.backlog_operations, b.backlog_operations);
+    EXPECT_EQ(a.backlog_bytes, b.backlog_bytes);
+    EXPECT_EQ(a.last_transaction, b.last_transaction);
+    EXPECT_EQ(a.elements, b.elements);
+    EXPECT_EQ(a.current_elements, b.current_elements);
+    EXPECT_EQ(a.first_transaction, b.first_transaction);
+  };
+  TemporalRelation::Stats written;
+  {
+    ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(durable()));
+    ASSERT_OK_AND_ASSIGN(ElementSurrogate a,
+                         rel->InsertEvent(1, T(900), Tuple{int64_t{1}, 1.0}));
+    ASSERT_OK_AND_ASSIGN(ElementSurrogate b,
+                         rel->InsertEvent(2, T(910), Tuple{int64_t{2}, 2.0}));
+    ASSERT_OK(rel->Checkpoint());
+    ASSERT_OK(rel->LogicalDelete(a));
+    ASSERT_OK(rel->Modify(b, ValidTime::Event(T(920)), Tuple{int64_t{2}, 3.0})
+                  .status());
+    written = rel->GetStats();
+    EXPECT_EQ(written.backlog_operations, 5u);  // 2 inserts, delete, modify
+    EXPECT_EQ(written.last_transaction, T(1030));
+    size_t bytes = 0;
+    for (const BacklogEntry& op : OperationsOf(rel->elements())) {
+      bytes += op.Encode().size();
+    }
+    EXPECT_EQ(written.backlog_bytes, bytes);
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(durable()));
+    expect_same(rel->GetStats(), written);
+    ASSERT_OK(rel->Checkpoint());
+    expect_same(rel->GetStats(), written);
+  }
+  ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(durable()));
+  expect_same(rel->GetStats(), written);
+  EXPECT_EQ(rel->backlog().persisted_entries(), 5u);
+}
+
 TEST(RelationTest, VacuumRemovesDeadHistory) {
   ASSERT_OK_AND_ASSIGN(auto rel, TemporalRelation::Open(BaseOptions()));
   // tts: inserts at 1000,1010,1020; deletes at 1030 (a), 1040 (b).

@@ -10,11 +10,14 @@
 #include "storage/page.h"
 #include "storage/serde.h"
 #include "testing.h"
+#include "testing_crash.h"
 
 namespace tempspec {
 namespace {
 
+using testing::AppendOp;
 using testing::MakeEventElement;
+using testing::OpenCollecting;
 using testing::T;
 
 class TempDir {
@@ -65,24 +68,60 @@ TEST(BacklogEntryTest, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(BacklogEntry::Decode("\x09garbage").status().IsCorruption());
 }
 
-TEST(BacklogStoreTest, InMemoryMaterialization) {
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open({}));
-  EXPECT_FALSE(store->durable());
-  ASSERT_OK(store->Append(Insert(10, 1, 5)));
-  ASSERT_OK(store->Append(Insert(20, 2, 15)));
-  ASSERT_OK(store->Append(Delete(30, 1)));
-  ASSERT_OK(store->Append(Insert(40, 3, 35)));
+TEST(BacklogTest, MaterializeAndReconstructReplayAnOperationList) {
+  const std::vector<BacklogEntry> ops = {Insert(10, 1, 5), Insert(20, 2, 15),
+                                         Delete(30, 1), Insert(40, 3, 35)};
+  EXPECT_EQ(MaterializeState(ops, T(5)).size(), 0u);
+  EXPECT_EQ(MaterializeState(ops, T(10)).size(), 1u);
+  EXPECT_EQ(MaterializeState(ops, T(25)).size(), 2u);
+  EXPECT_EQ(MaterializeState(ops, T(30)).size(), 1u);  // 1 deleted at 30
+  EXPECT_EQ(MaterializeState(ops, T(100)).size(), 2u);
 
-  EXPECT_EQ(store->MaterializeState(T(5)).size(), 0u);
-  EXPECT_EQ(store->MaterializeState(T(10)).size(), 1u);
-  EXPECT_EQ(store->MaterializeState(T(25)).size(), 2u);
-  EXPECT_EQ(store->MaterializeState(T(30)).size(), 1u);  // 1 deleted at 30
-  EXPECT_EQ(store->MaterializeState(T(100)).size(), 2u);
-
-  const auto all = store->ReconstructElements();
+  const auto all = ReconstructElements(ops);
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].tt_end, T(30));  // element 1's existence interval closed
   EXPECT_TRUE(all[1].IsCurrent());
+
+  // OperationsOf inverts ReconstructElements byte for byte.
+  const std::vector<BacklogEntry> derived = OperationsOf(all);
+  ASSERT_EQ(derived.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(derived[i].Encode(), ops[i].Encode()) << "op " << i;
+  }
+}
+
+TEST(BacklogTest, OperationsOfPutsAModifysDeleteBeforeItsInsert) {
+  // Element 1 is modified into element 2 at tt 20: one transaction time,
+  // the deletion first (Section 2).
+  std::vector<Element> elements = {MakeEventElement(T(10), T(5), 1),
+                                   MakeEventElement(T(20), T(6), 2),
+                                   MakeEventElement(T(30), T(7), 3)};
+  elements[0].tt_end = T(20);
+  const std::vector<BacklogEntry> ops = OperationsOf(elements);
+  ASSERT_EQ(ops.size(), 4u);
+  EXPECT_EQ(ops[0].element.element_surrogate, 1u);
+  EXPECT_TRUE(ops[0].element.IsCurrent());  // the insert carries an open tt_d
+  EXPECT_EQ(ops[1].op, BacklogOpType::kLogicalDelete);
+  EXPECT_EQ(ops[1].target, 1u);
+  EXPECT_EQ(ops[2].element.element_surrogate, 2u);
+  EXPECT_EQ(ops[3].element.element_surrogate, 3u);
+}
+
+TEST(BacklogStoreTest, InMemoryStoreOnlyCounts) {
+  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open({}));
+  EXPECT_FALSE(store->durable());
+  const std::vector<BacklogEntry> ops = {Insert(10, 1, 5), Insert(20, 2, 15),
+                                         Delete(30, 1)};
+  size_t bytes = 0;
+  for (const BacklogEntry& op : ops) {
+    ASSERT_OK(AppendOp(store.get(), op));
+    bytes += op.Encode().size();
+  }
+  EXPECT_EQ(store->size(), 3u);
+  EXPECT_EQ(store->encoded_bytes(), bytes);
+  EXPECT_EQ(store->last_tt(), T(30));
+  ASSERT_OK(store->Checkpoint());  // nothing to persist
+  EXPECT_EQ(store->size(), 3u);
 }
 
 TEST(BacklogStoreTest, DurableRecoveryFromWal) {
@@ -92,14 +131,16 @@ TEST(BacklogStoreTest, DurableRecoveryFromWal) {
   {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
     EXPECT_TRUE(store->durable());
-    ASSERT_OK(store->Append(Insert(10, 1, 5)));
-    ASSERT_OK(store->Append(Insert(20, 2, 15)));
-    ASSERT_OK(store->Append(Delete(30, 1)));
+    ASSERT_OK(AppendOp(store.get(), Insert(10, 1, 5)));
+    ASSERT_OK(AppendOp(store.get(), Insert(20, 2, 15)));
+    ASSERT_OK(AppendOp(store.get(), Delete(30, 1)));
     // No checkpoint: everything lives in the WAL.
   }
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
   EXPECT_EQ(store->size(), 3u);
-  EXPECT_EQ(store->MaterializeState(T(100)).size(), 1u);
+  EXPECT_EQ(recovered.size(), 3u);
+  EXPECT_EQ(MaterializeState(recovered, T(100)).size(), 1u);
 }
 
 TEST(BacklogStoreTest, CheckpointMovesEntriesToPages) {
@@ -109,20 +150,22 @@ TEST(BacklogStoreTest, CheckpointMovesEntriesToPages) {
   {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
     for (int i = 0; i < 100; ++i) {
-      ASSERT_OK(store->Append(Insert(10 + i, i + 1, i)));
+      ASSERT_OK(AppendOp(store.get(), Insert(10 + i, i + 1, i)));
     }
     ASSERT_OK(store->Checkpoint());
     EXPECT_EQ(store->persisted_entries(), 100u);
     // Post-checkpoint appends go to the WAL.
-    ASSERT_OK(store->Append(Delete(500, 1)));
+    ASSERT_OK(AppendOp(store.get(), Delete(500, 1)));
   }
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
   EXPECT_EQ(store->size(), 101u);
   EXPECT_EQ(store->persisted_entries(), 100u);
-  EXPECT_EQ(store->MaterializeState(T(1000)).size(), 99u);
+  ASSERT_EQ(recovered.size(), 101u);
+  EXPECT_EQ(MaterializeState(recovered, T(1000)).size(), 99u);
   // Entries recovered in order.
-  EXPECT_EQ(store->entries().front().tt, T(10));
-  EXPECT_EQ(store->entries().back().op, BacklogOpType::kLogicalDelete);
+  EXPECT_EQ(recovered.front().tt, T(10));
+  EXPECT_EQ(recovered.back().op, BacklogOpType::kLogicalDelete);
 }
 
 TEST(BacklogStoreTest, RepeatedCheckpointsAndReopen) {
@@ -134,13 +177,93 @@ TEST(BacklogStoreTest, RepeatedCheckpointsAndReopen) {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
     ASSERT_EQ(store->size(), total);
     for (int i = 0; i < 50; ++i) {
-      ASSERT_OK(store->Append(Insert(1000 * round + i, total + i + 1, i)));
+      ASSERT_OK(
+          AppendOp(store.get(), Insert(1000 * round + i, total + i + 1, i)));
     }
     total += 50;
     ASSERT_OK(store->Checkpoint());
   }
   ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
   EXPECT_EQ(store->size(), 150u);
+}
+
+TEST(BacklogStoreTest, CheckpointOfAShortenedWalFailsWithoutPersisting) {
+  // The store holds no copy of its operations, so a checkpoint reads them
+  // back from the WAL. A WAL cut behind the store's back must fail the
+  // checkpoint before it writes a page or resets the WAL: a short batch
+  // followed by a reset would drop the missing operations for good.
+  TempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  const std::string wal_path = dir.path() + "/backlog.wal";
+  const std::string pages_path = dir.path() + "/backlog.pages";
+  std::vector<BacklogEntry> ops;
+  for (int i = 0; i < 20; ++i) ops.push_back(Insert(10 + i, i + 1, i));
+  uintmax_t cut = 0;
+  uintmax_t pages_bytes = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    for (int i = 0; i < 10; ++i) ASSERT_OK(AppendOp(store.get(), ops[i]));
+    ASSERT_OK(store->Checkpoint());
+    for (int i = 10; i < 20; ++i) ASSERT_OK(AppendOp(store.get(), ops[i]));
+    pages_bytes = std::filesystem::file_size(pages_path);
+    cut = std::filesystem::file_size(wal_path) / 2;
+    std::filesystem::resize_file(wal_path, cut);
+
+    const Status st = store->Checkpoint();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_TRUE(store->io_failed());
+    EXPECT_EQ(store->persisted_entries(), 10u);
+    EXPECT_EQ(std::filesystem::file_size(pages_path), pages_bytes)
+        << "a short batch reached the page file";
+    EXPECT_EQ(std::filesystem::file_size(wal_path), cut)
+        << "the WAL was reset over operations it no longer held";
+    EXPECT_TRUE(AppendOp(store.get(), Insert(100, 99, 99)).IsIOError());
+  }
+  // Reopening recovers the checkpointed batch plus the surviving WAL prefix.
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+  EXPECT_EQ(store->persisted_entries(), 10u);
+  ASSERT_GT(recovered.size(), 10u);
+  ASSERT_LT(recovered.size(), 20u);
+  for (size_t i = 0; i < recovered.size(); ++i) {
+    EXPECT_EQ(recovered[i].Encode(), ops[i].Encode()) << "op " << i;
+  }
+  // The reopened store checkpoints normally again.
+  ASSERT_OK(store->Checkpoint());
+  EXPECT_EQ(store->persisted_entries(), recovered.size());
+}
+
+TEST(BacklogStoreTest, AppendsAfterATornWalTailSurviveReopen) {
+  // A crash mid-append leaves a torn record at the WAL's end. Recovery
+  // stops there, and the reopened WAL must cut it off: an append written
+  // beyond the tear would be unreachable at the next replay.
+  TempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  const std::string wal_path = dir.path() + "/backlog.wal";
+  const std::vector<BacklogEntry> ops = {Insert(10, 1, 5), Insert(20, 2, 15),
+                                         Insert(30, 3, 25), Insert(40, 4, 35),
+                                         Delete(50, 1)};
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    for (int i = 0; i < 3; ++i) ASSERT_OK(AppendOp(store.get(), ops[i]));
+  }
+  std::filesystem::resize_file(wal_path,
+                               std::filesystem::file_size(wal_path) - 5);
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    ASSERT_EQ(store->size(), 2u);  // the torn third insert is gone
+    ASSERT_OK(AppendOp(store.get(), ops[3]));
+    ASSERT_OK(AppendOp(store.get(), ops[4]));
+  }
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+  ASSERT_EQ(recovered.size(), 4u) << "appends after the tear were lost";
+  const size_t expected[] = {0, 1, 3, 4};
+  for (size_t i = 0; i < recovered.size(); ++i) {
+    EXPECT_EQ(recovered[i].Encode(), ops[expected[i]].Encode()) << "op " << i;
+  }
 }
 
 TEST(BacklogStoreTest, LargeElementsSpanPages) {
@@ -152,13 +275,15 @@ TEST(BacklogStoreTest, LargeElementsSpanPages) {
     for (int i = 0; i < 20; ++i) {
       BacklogEntry entry = Insert(i + 1, i + 1, i);
       entry.element.attributes = Tuple{std::string(3000, 'x')};  // ~3 KB each
-      ASSERT_OK(store->Append(entry));
+      ASSERT_OK(AppendOp(store.get(), entry));
     }
     ASSERT_OK(store->Checkpoint());
   }
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
   ASSERT_EQ(store->size(), 20u);
-  EXPECT_EQ(store->entries()[7].element.attributes.at(0).AsString().size(), 3000u);
+  ASSERT_EQ(recovered.size(), 20u);
+  EXPECT_EQ(recovered[7].element.attributes.at(0).AsString().size(), 3000u);
 }
 
 TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
@@ -167,7 +292,7 @@ TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
   options.directory = dir.path();
   {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
-    ASSERT_OK(store->Append(Insert(10, 1, 5)));
+    ASSERT_OK(AppendOp(store.get(), Insert(10, 1, 5)));
     ASSERT_OK(store->Checkpoint());
   }
   // Rewrite the header as an older format version: magic intact, version 1.
@@ -202,10 +327,10 @@ TEST(BacklogStoreTest, ReplaceAllSurvivesReopenAndBumpsEpoch) {
   {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
     for (int i = 0; i < 20; ++i) {
-      ASSERT_OK(store->Append(Insert(10 + i, i + 1, i)));
+      ASSERT_OK(AppendOp(store.get(), Insert(10 + i, i + 1, i)));
     }
     ASSERT_OK(store->Checkpoint());
-    ASSERT_OK(store->Append(Delete(100, 1)));
+    ASSERT_OK(AppendOp(store.get(), Delete(100, 1)));
     EXPECT_EQ(store->epoch(), 0u);
 
     // Compact down to the 19 surviving inserts.
@@ -218,13 +343,15 @@ TEST(BacklogStoreTest, ReplaceAllSurvivesReopenAndBumpsEpoch) {
     EXPECT_EQ(store->persisted_entries(), 19u);
 
     // The store stays writable across generations.
-    ASSERT_OK(store->Append(Insert(200, 50, 199)));
+    ASSERT_OK(AppendOp(store.get(), Insert(200, 50, 199)));
   }
-  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
   EXPECT_EQ(store->epoch(), 1u);
   ASSERT_EQ(store->size(), 20u);
-  EXPECT_EQ(store->entries().front().element.element_surrogate, 2u);
-  EXPECT_EQ(store->entries().back().element.element_surrogate, 50u);
+  ASSERT_EQ(recovered.size(), 20u);
+  EXPECT_EQ(recovered.front().element.element_surrogate, 2u);
+  EXPECT_EQ(recovered.back().element.element_surrogate, 50u);
 }
 
 }  // namespace

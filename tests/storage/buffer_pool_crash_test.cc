@@ -47,7 +47,7 @@ TEST(BufferPoolCrashTest, EvictionUnderWritePressure) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<BacklogStore> store,
                          BacklogStore::Open(options));
     for (size_t i = 0; i < ops.size(); ++i) {
-      ASSERT_OK(store->Append(ops[i]));
+      ASSERT_OK(AppendOp(store.get(), ops[i]));
       if ((i + 1) % kCheckpointEvery == 0) ASSERT_OK(store->Checkpoint());
     }
     ASSERT_OK(store->Checkpoint());
@@ -56,11 +56,13 @@ TEST(BufferPoolCrashTest, EvictionUnderWritePressure) {
            "exercising eviction writeback at all";
   }
 
+  std::vector<BacklogEntry> recovered;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<BacklogStore> store,
-                       BacklogStore::Open(options));
-  ASSERT_EQ(store->entries().size(), ops.size());
+                       OpenCollecting(options, &recovered));
+  ASSERT_EQ(recovered.size(), ops.size());
+  ASSERT_EQ(store->size(), ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    ASSERT_EQ(store->entries()[i].Encode(), ops[i].Encode()) << "op " << i;
+    ASSERT_EQ(recovered[i].Encode(), ops[i].Encode()) << "op " << i;
   }
 }
 

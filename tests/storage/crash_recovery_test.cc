@@ -331,18 +331,24 @@ TEST(CrashRecoveryTest, RelationLevelRecovery) {
             floor = rel->backlog().size();
           }
         }
-        // The in-memory backlog holds exactly the WAL-acknowledged entries —
-        // including, say, the delete half of a Modify whose insert half
-        // crashed. That entry-level history is the shadow recovery must
-        // reproduce a prefix of.
-        for (const BacklogEntry& e : rel->backlog().entries()) {
+        // The relation applies an operation only after its WAL append is
+        // acknowledged, so the operations its elements imply are exactly
+        // the acknowledged history — including, say, the delete half of a
+        // Modify whose insert half crashed. That entry-level history is the
+        // shadow recovery must reproduce a prefix of.
+        for (const BacklogEntry& e : OperationsOf(rel->elements())) {
           shadow.push_back(e.Encode());
         }
+        EXPECT_EQ(shadow.size(), rel->backlog().size());
         // Tear down while crashed so the WAL applies its tail cut.
       }
     }
     registry.DisarmAll();
     if (crashed) ++crashed_trials;
+
+    // The recovered history, as the store streams it at open.
+    std::vector<BacklogEntry> entries;
+    ASSERT_OK(OpenCollecting(options.storage, &entries).status());
 
     RelationOptions reopen;
     reopen.schema = schema;
@@ -350,8 +356,8 @@ TEST(CrashRecoveryTest, RelationLevelRecovery) {
     auto recovered = TemporalRelation::Open(reopen);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     std::unique_ptr<TemporalRelation> rel = std::move(recovered).ValueOrDie();
+    ASSERT_EQ(rel->backlog().size(), entries.size());
 
-    const std::vector<BacklogEntry>& entries = rel->backlog().entries();
     ASSERT_LE(entries.size(), shadow.size());
     ASSERT_GE(entries.size(), floor);
     size_t inserts = 0;

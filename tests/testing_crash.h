@@ -95,8 +95,26 @@ inline std::vector<BacklogEntry> MakeCrashWorkload(uint64_t seed, size_t num_ops
   return ops;
 }
 
+/// \brief Appends one operation: an insert at its element's tt_begin (the
+/// workloads here stamp both alike), or a delete at its tt.
+inline Status AppendOp(BacklogStore* store, const BacklogEntry& op) {
+  return op.op == BacklogOpType::kInsert ? store->AppendInsert(op.element)
+                                         : store->AppendDelete(op.tt, op.target);
+}
+
+/// \brief Opens a store and collects the operations its recovery streams,
+/// in order (the store itself keeps none of them).
+inline Result<std::unique_ptr<BacklogStore>> OpenCollecting(
+    const BacklogStore::Options& options, std::vector<BacklogEntry>* recovered) {
+  recovered->clear();
+  return BacklogStore::Open(options, [recovered](BacklogEntry&& entry) {
+    recovered->push_back(std::move(entry));
+    return Status::OK();
+  });
+}
+
 /// \brief Alive elements after applying the first `prefix` ops, sorted by
-/// surrogate (the shadow counterpart of BacklogStore::MaterializeState at
+/// surrogate (the shadow counterpart of MaterializeState at
 /// TimePoint::Max()).
 inline std::vector<Element> MaterializeShadow(const std::vector<BacklogEntry>& ops,
                                               size_t prefix) {
@@ -310,7 +328,7 @@ inline void RunBacklogCrashTrial(const CrashStrategy& strategy, uint64_t trigger
       std::unique_ptr<BacklogStore> store = std::move(opened).ValueOrDie();
       size_t appends = 0;
       for (const BacklogEntry& op : ops) {
-        const Status st = store->Append(op);
+        const Status st = AppendOp(store.get(), op);
         if (!st.ok()) {
           out->crashed = true;
           break;
@@ -361,13 +379,15 @@ inline void RunBacklogCrashTrial(const CrashStrategy& strategy, uint64_t trigger
   }
 
   // Recovery must succeed with no faults armed, whatever the crash left.
-  auto reopened = BacklogStore::Open(options);
+  std::vector<BacklogEntry> recovered;
+  auto reopened = OpenCollecting(options, &recovered);
   ASSERT_TRUE(reopened.ok())
       << "recovery failed after '" << strategy.name << "' crash at trigger "
       << trigger << ": " << reopened.status().ToString();
   std::unique_ptr<BacklogStore> store = std::move(reopened).ValueOrDie();
-  const std::vector<BacklogEntry>& recovered = store->entries();
   out->recovered = recovered.size();
+  ASSERT_EQ(store->size(), recovered.size())
+      << strategy.name << ": the store's count disagrees with its recovery";
 
   // Prefix-consistency: never more than acknowledged, never less than the
   // durable floor, byte-identical entry by entry. A crash *inside*
@@ -402,7 +422,7 @@ inline void RunBacklogCrashTrial(const CrashStrategy& strategy, uint64_t trigger
   }
 
   // Recovered state must match the shadow model applied to the same prefix.
-  std::vector<Element> actual = store->MaterializeState(TimePoint::Max());
+  std::vector<Element> actual = MaterializeState(recovered, TimePoint::Max());
   std::sort(actual.begin(), actual.end(), [](const Element& a, const Element& b) {
     return a.element_surrogate < b.element_surrogate;
   });
@@ -417,32 +437,39 @@ inline void RunBacklogCrashTrial(const CrashStrategy& strategy, uint64_t trigger
   // Recovery is idempotent: reopening again yields the same history.
   const size_t first_count = recovered.size();
   store.reset();
-  auto again = BacklogStore::Open(options);
+  std::vector<BacklogEntry> recovered_again;
+  auto again = OpenCollecting(options, &recovered_again);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   std::unique_ptr<BacklogStore> resumed = std::move(again).ValueOrDie();
-  ASSERT_EQ(resumed->entries().size(), first_count)
+  ASSERT_EQ(recovered_again.size(), first_count)
       << strategy.name << ": recovery is not idempotent";
+  for (size_t i = 0; i < first_count; ++i) {
+    ASSERT_EQ(recovered_again[i].Encode(), recovered[i].Encode())
+        << strategy.name << ": second recovery differs at op " << i;
+  }
 
   // Life goes on after recovery: append a continuation workload, checkpoint
   // it, and reopen once more. This is the regression for quarantined torn
   // pages — the post-recovery checkpoint appends its batch on fresh pages
   // *after* whatever the crash damaged, and a recovery scan that had merely
   // stopped at the damage (instead of truncating it off the file) would
-  // never reach that durable batch here, silently dropping it.
+  // never reach that durable batch here, silently dropping it. It is also
+  // the regression for a torn WAL tail left in place at reopen: the
+  // continuation's appends would land beyond it, and the checkpoint, which
+  // reads its batch back from the WAL, would come up short.
   constexpr size_t kContinuationOps = 12;
   const std::vector<BacklogEntry> extra = MakeCrashWorkload(
       seed ^ 0x5ca1ab1eull, kContinuationOps, strategy.payload_bytes);
   for (const BacklogEntry& op : extra) {
-    ASSERT_OK(resumed->Append(op));
+    ASSERT_OK(AppendOp(resumed.get(), op));
   }
   ASSERT_OK(resumed->Checkpoint());
   resumed.reset();
-  auto final_open = BacklogStore::Open(options);
+  std::vector<BacklogEntry> final_entries;
+  auto final_open = OpenCollecting(options, &final_entries);
   ASSERT_TRUE(final_open.ok())
       << strategy.name << ": reopen after post-recovery checkpoint failed: "
       << final_open.status().ToString();
-  const std::vector<BacklogEntry>& final_entries =
-      final_open.ValueOrDie()->entries();
   ASSERT_EQ(final_entries.size(), first_count + extra.size())
       << strategy.name << ": operations appended after recovery were lost";
   for (size_t i = 0; i < final_entries.size(); ++i) {
