@@ -9,6 +9,8 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -169,11 +171,15 @@ struct NetServer::Connection {
   std::string outbuf;
   size_t out_offset = 0;
   uint32_t interest = kEventReadable;
-  bool processing = false;  // one statement on the workers for this conn
+  bool processing = false;  // one batch on the workers for this conn
   bool reading_paused = false;
   bool close_after_flush = false;
   bool closed = false;
-  std::shared_ptr<TraceContext> active_trace;  // cancelled on disconnect
+  // The running batch's spans, cancelled on disconnect.
+  std::vector<std::shared_ptr<TraceContext>> active_traces;
+  // A non-query frame that ended a batch; handled once the batch's replies
+  // are out, so replies stay in send order.
+  std::optional<Frame> held_frame;
   std::chrono::steady_clock::time_point last_activity;
 };
 
@@ -228,7 +234,7 @@ void NetServer::Stop() {
   // Cancel whatever the workers are executing so the drain below is quick.
   loop_.RunInLoop([this] {
     for (auto& [fd, conn] : connections_) {
-      if (conn->active_trace != nullptr) conn->active_trace->RequestCancel();
+      for (const auto& trace : conn->active_traces) trace->RequestCancel();
     }
   });
   // Admitted statements finish (cancelled or not) and post their
@@ -392,39 +398,60 @@ void NetServer::ProcessFrames(const std::shared_ptr<Connection>& conn) {
     conn->decoder.Feed(conn->inbuf.data(), conn->inbuf.size());
     conn->inbuf.clear();
   }
-  while (!conn->closed && !conn->processing && !conn->close_after_flush) {
-    Result<std::optional<Frame>> next = conn->decoder.Next();
-    if (!next.ok()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      TS_COUNTER_INC("server.protocol_errors");
-      Frame error;
-      error.type = FrameType::kError;
-      error.payload = next.status().ToString();
-      conn->close_after_flush = true;
-      SendFrame(conn, error);
-      return;
+  const auto to_statement = [](Frame frame) {
+    BatchStatement s;
+    s.statement = std::move(frame.payload);
+    if (frame.has_deadline()) s.deadline_ms = frame.deadline_millis;
+    if (frame.has_trace()) {
+      s.wire = {frame.trace_hi, frame.trace_lo, frame.span_id, true};
     }
-    if (!next.ValueOrDie().has_value()) return;  // truncated: need bytes
-    Frame frame = std::move(*next.ValueOrDie());
-    switch (frame.type) {
+    return s;
+  };
+  while (!conn->closed && !conn->processing && !conn->close_after_flush) {
+    std::optional<Frame> frame = std::exchange(conn->held_frame, std::nullopt);
+    if (!frame.has_value()) {
+      Result<std::optional<Frame>> next = conn->decoder.Next();
+      if (!next.ok()) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        TS_COUNTER_INC("server.protocol_errors");
+        Frame error;
+        error.type = FrameType::kError;
+        error.payload = next.status().ToString();
+        conn->close_after_flush = true;
+        SendFrame(conn, error);
+        return;
+      }
+      if (!next.ValueOrDie().has_value()) return;  // truncated: need bytes
+      frame = std::move(*next.ValueOrDie());
+    }
+    switch (frame->type) {
       case FrameType::kPing: {
         Frame pong;
         pong.type = FrameType::kPong;
-        pong.payload = std::move(frame.payload);
+        pong.payload = std::move(frame->payload);
         SendFrame(conn, pong);
         continue;
       }
       case FrameType::kQuery: {
-        WireTraceInfo wire;
-        if (frame.has_trace()) {
-          wire.hi = frame.trace_hi;
-          wire.lo = frame.trace_lo;
-          wire.span = frame.span_id;
-          wire.set = true;
+        // The query frames already decodable behind this one join its
+        // batch. The first other frame is held for after the batch; an
+        // incomplete frame or a poisoned decoder just ends the batch (the
+        // decoder's error frame then follows the batch's replies).
+        const size_t cap = std::max<size_t>(1, options_.max_inflight);
+        std::vector<BatchStatement> batch;
+        batch.push_back(to_statement(std::move(*frame)));
+        while (batch.size() < cap) {
+          Result<std::optional<Frame>> next = conn->decoder.Next();
+          if (!next.ok() || !next.ValueOrDie().has_value()) break;
+          Frame& more = *next.ValueOrDie();
+          if (more.type != FrameType::kQuery) {
+            conn->held_frame = std::move(more);
+            break;
+          }
+          batch.push_back(to_statement(std::move(more)));
         }
-        DispatchStatement(conn, std::move(frame.payload),
-                          frame.has_deadline() ? frame.deadline_millis : 0,
-                          wire, /*is_http=*/false, /*http_keep_alive=*/true);
+        DispatchBatch(conn, std::move(batch), /*is_http=*/false,
+                      /*http_keep_alive=*/true);
         continue;
       }
       default: {
@@ -485,27 +512,28 @@ void NetServer::RouteHttpRequest(const std::shared_ptr<Connection>& conn) {
         return;
       }
     }
+    std::vector<BatchStatement> batch(1);
+    batch[0].statement = request.body;
+    batch[0].deadline_ms = deadline_ms;
     // Unlike the deadline header, a malformed trace header is not a 400:
     // the request executes under a server-generated id instead.
-    WireTraceInfo wire;
     if (const std::string* header = request.FindHeader("X-Tempspec-Trace")) {
+      WireTraceInfo& wire = batch[0].wire;
       wire.set = ParseTraceHeader(*header, &wire.hi, &wire.lo, &wire.span);
     }
-    DispatchStatement(conn, request.body, deadline_ms, wire, /*is_http=*/true,
-                      keep_alive);
+    DispatchBatch(conn, std::move(batch), /*is_http=*/true, keep_alive);
     return;
   }
   if (!keep_alive) conn->close_after_flush = true;
   SendHttpResponse(conn, 405, kTextPlain, "method not allowed\n", keep_alive);
 }
 
-void NetServer::DispatchStatement(const std::shared_ptr<Connection>& conn,
-                                  std::string statement, uint64_t deadline_ms,
-                                  const WireTraceInfo& wire, bool is_http,
-                                  bool http_keep_alive) {
+void NetServer::DispatchBatch(const std::shared_ptr<Connection>& conn,
+                              std::vector<BatchStatement> batch, bool is_http,
+                              bool http_keep_alive) {
   if (inflight_ >= options_.max_inflight) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    TS_COUNTER_INC("server.requests_rejected");
+    rejected_.fetch_add(batch.size(), std::memory_order_relaxed);
+    TS_COUNTER_ADD("server.requests_rejected", batch.size());
     TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerReject,
               static_cast<int64_t>(conn->id),
               static_cast<int64_t>(inflight_), "max_inflight");
@@ -515,137 +543,148 @@ void NetServer::DispatchStatement(const std::shared_ptr<Connection>& conn,
       if (!http_keep_alive) conn->close_after_flush = true;
       SendHttpResponse(conn, 503, kTextPlain, std::string(message) + "\n",
                        http_keep_alive);
-    } else {
-      Frame rejected;
-      rejected.type = FrameType::kRejected;
-      rejected.payload = message;
-      SendFrame(conn, rejected);
+      return;
     }
+    Frame rejected;
+    rejected.type = FrameType::kRejected;
+    rejected.payload = message;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EncodeFrame(rejected, &conn->outbuf);
+    }
+    FlushWrites(conn);
+    if (!conn->closed) UpdateInterest(conn);
     return;
   }
 
+  // One permit per batch, as one per connection: the connection runs
+  // nothing else until the batch's replies are written.
   ++inflight_;
   inflight_published_.store(inflight_, std::memory_order_relaxed);
   TS_GAUGE_SET("server.inflight", static_cast<int64_t>(inflight_));
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  TS_COUNTER_INC("server.requests");
-  TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerRequest,
-            static_cast<int64_t>(conn->id),
-            static_cast<int64_t>(statement.size()), "");
+  requests_.fetch_add(batch.size(), std::memory_order_relaxed);
+  TS_COUNTER_ADD("server.requests", batch.size());
 
-  // Deadline policy: a client value is clamped to max_deadline_ms; no value
-  // falls back to default_deadline_ms (0 = unlimited). Armed at admission,
-  // so time spent queued behind other statements counts against it.
-  uint64_t effective_ms = deadline_ms;
-  if (effective_ms == 0) {
-    effective_ms = options_.default_deadline_ms;
-  } else if (options_.max_deadline_ms > 0 &&
-             effective_ms > options_.max_deadline_ms) {
-    effective_ms = options_.max_deadline_ms;
-  }
-  // The request span starts at admission, so its wall clock covers queue
-  // wait, execution, and the response write — the server-side view of the
-  // latency the client observes.
-  auto trace = std::make_shared<TraceContext>();
-  trace->SetServerOwned(true);
-  if (wire.set) trace->SetWireTrace(wire.hi, wire.lo, wire.span);
-  trace->Begin("server.request");
-  trace->SetAttr("protocol", is_http ? "http" : "tsp1");
-  if (!conn->peer.empty()) trace->SetAttr("peer", conn->peer);
-  if (effective_ms > 0) {
-    trace->ArmDeadlineAfterMicros(effective_ms * 1000);
-    TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerDeadline,
-              static_cast<int64_t>(conn->id),
-              static_cast<int64_t>(effective_ms), "");
-  }
   conn->processing = true;
-  conn->active_trace = trace;
-
-  StatementHandler handler = statement_handler_;
-  const auto admitted = std::chrono::steady_clock::now();
-  workers_->Submit([this, conn, trace, handler = std::move(handler),
-                    statement = std::move(statement), admitted, is_http,
-                    http_keep_alive]() mutable {
-    const auto picked_up = std::chrono::steady_clock::now();
-    trace->AddStage("queue.wait", MicrosBetween(admitted, picked_up));
-    Status status;
-    std::string payload;
-    if (trace->CancellationRequested()) {
-      status = Status::DeadlineExceeded(
-          "deadline expired while the statement was queued");
-    } else if (!handler) {  // frame clients can reach here with no handler
-      status = Status::NotImplemented("no statement handler installed");
-    } else {
-      Result<std::string> result = handler(statement, trace.get());
-      if (result.ok()) {
-        payload = std::move(result).ValueOrDie();
-      } else {
-        status = result.status();
-      }
+  for (BatchStatement& s : batch) {
+    TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerRequest,
+              static_cast<int64_t>(conn->id),
+              static_cast<int64_t>(s.statement.size()), "");
+    // Deadline policy: a client value is clamped to max_deadline_ms; no
+    // value falls back to default_deadline_ms (0 = unlimited). Armed at
+    // admission, so time spent queued behind other statements (the earlier
+    // ones of this batch included) counts against it.
+    uint64_t effective_ms = s.deadline_ms;
+    if (effective_ms == 0) {
+      effective_ms = options_.default_deadline_ms;
+    } else if (options_.max_deadline_ms > 0 &&
+               effective_ms > options_.max_deadline_ms) {
+      effective_ms = options_.max_deadline_ms;
     }
-    trace->AddStage("execute",
-                    MicrosBetween(picked_up, std::chrono::steady_clock::now()));
-    loop_.RunInLoop([this, conn, trace, statement = std::move(statement),
-                     status = std::move(status), payload = std::move(payload),
-                     is_http, http_keep_alive]() {
-      CompleteStatement(conn, trace, statement, status, payload, is_http,
-                        http_keep_alive);
+    // The request span starts at admission, so its wall clock covers queue
+    // wait, execution, and the response write — the server-side view of
+    // the latency the client observes.
+    s.trace = std::make_shared<TraceContext>();
+    TraceContext& trace = *s.trace;
+    trace.SetServerOwned(true);
+    if (s.wire.set) trace.SetWireTrace(s.wire.hi, s.wire.lo, s.wire.span);
+    trace.Begin("server.request");
+    trace.SetAttr("protocol", is_http ? "http" : "tsp1");
+    if (!conn->peer.empty()) trace.SetAttr("peer", conn->peer);
+    if (effective_ms > 0) {
+      trace.ArmDeadlineAfterMicros(effective_ms * 1000);
+      TS_FLIGHT(FlightCategory::kServer, FlightCode::kServerDeadline,
+                static_cast<int64_t>(conn->id),
+                static_cast<int64_t>(effective_ms), "");
+    }
+    conn->active_traces.push_back(s.trace);
+  }
+
+  const auto admitted = std::chrono::steady_clock::now();
+  workers_->Submit([this, conn, batch = std::move(batch), admitted, is_http,
+                    http_keep_alive]() mutable {
+    for (BatchStatement& s : batch) {
+      TraceContext* trace = s.trace.get();
+      const auto picked_up = std::chrono::steady_clock::now();
+      trace->AddStage("queue.wait", MicrosBetween(admitted, picked_up));
+      if (trace->CancellationRequested()) {
+        // Skipped, not executed: its deadline passed while it waited, or
+        // its client went away.
+        s.status = Status::DeadlineExceeded(
+            "deadline expired while the statement was queued");
+      } else if (!statement_handler_) {  // frame clients can reach here
+        s.status = Status::NotImplemented("no statement handler installed");
+      } else {
+        Result<std::string> result = statement_handler_(s.statement, trace);
+        if (result.ok()) {
+          s.payload = std::move(result).ValueOrDie();
+        } else {
+          s.status = result.status();
+        }
+      }
+      const auto executed = std::chrono::steady_clock::now();
+      trace->AddStage("execute", MicrosBetween(picked_up, executed));
+    }
+    loop_.RunInLoop([this, conn, batch = std::move(batch), is_http,
+                     http_keep_alive]() mutable {
+      CompleteBatch(conn, std::move(batch), is_http, http_keep_alive);
     });
   });
 }
 
-void NetServer::CompleteStatement(const std::shared_ptr<Connection>& conn,
-                                  const std::shared_ptr<TraceContext>& trace,
-                                  const std::string& statement,
-                                  const Status& status,
-                                  const std::string& payload, bool is_http,
-                                  bool http_keep_alive) {
+void NetServer::CompleteBatch(const std::shared_ptr<Connection>& conn,
+                              std::vector<BatchStatement> batch, bool is_http,
+                              bool http_keep_alive) {
   --inflight_;
   inflight_published_.store(inflight_, std::memory_order_relaxed);
   TS_GAUGE_SET("server.inflight", static_cast<int64_t>(inflight_));
   conn->processing = false;
-  conn->active_trace.reset();
-  if (status.IsDeadlineExceeded()) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    TS_COUNTER_INC("server.deadline_exceeded");
-  }
+  conn->active_traces.clear();
 
   const auto respond_start = std::chrono::steady_clock::now();
-  const bool disconnected = conn->closed;  // client went away mid-execution
-  if (!disconnected) {
+  const bool disconnected = conn->closed;  // client went away mid-batch
+  for (BatchStatement& s : batch) {
+    if (s.status.IsDeadlineExceeded()) {
+      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      TS_COUNTER_INC("server.deadline_exceeded");
+    }
+    if (disconnected) continue;
     if (is_http) {
       conn->http.Reset();
       if (!http_keep_alive) conn->close_after_flush = true;
-      if (status.ok()) {
-        SendHttpResponse(conn, 200, kTextPlain, payload, http_keep_alive);
-      } else {
-        SendHttpResponse(conn, StatusToHttpCode(status), kTextPlain,
-                         status.ToString() + "\n", http_keep_alive);
-      }
+      conn->outbuf +=
+          s.status.ok()
+              ? BuildHttpResponse(200, kTextPlain, s.payload, http_keep_alive)
+              : BuildHttpResponse(StatusToHttpCode(s.status), kTextPlain,
+                                  s.status.ToString() + "\n",
+                                  http_keep_alive);
     } else {
       Frame frame;
-      frame.type = status.ok() ? FrameType::kResult : FrameType::kError;
-      frame.payload = status.ok() ? payload : status.ToString();
-      SendFrame(conn, frame);
+      frame.type = s.status.ok() ? FrameType::kResult : FrameType::kError;
+      frame.payload =
+          s.status.ok() ? std::move(s.payload) : s.status.ToString();
+      EncodeFrame(frame, &conn->outbuf);
     }
   }
+  if (!disconnected) FlushWrites(conn);
 
-  // Finalize and record the server-owned request span — the slowlog and
-  // retained-trace entry other planes join by trace id. Recorded even for a
-  // disconnected client: the work happened.
-  if (trace != nullptr && trace->started()) {
-    trace->AddStage(
-        "respond",
-        MicrosBetween(respond_start, std::chrono::steady_clock::now()));
-    trace->SetAttr("outcome",
-                   status.ok() ? "ok" : StatusCodeToString(status.code()));
-    trace->End();
-    TS_METRICS_ONLY({ SlowQueryLog::Instance().Record(*trace, statement); });
-    RetainedTraces::Instance().Record(*trace);
+  // Finalize and record each server-owned request span — the slowlog and
+  // retained-trace entries other planes join by trace id. Recorded even for
+  // a disconnected client: the work happened. `respond` covers encoding the
+  // batch's replies and their one flush.
+  const auto responded = std::chrono::steady_clock::now();
+  for (BatchStatement& s : batch) {
+    TraceContext& trace = *s.trace;
+    trace.AddStage("respond", MicrosBetween(respond_start, responded));
+    trace.SetAttr("outcome", s.status.ok()
+                                 ? "ok"
+                                 : StatusCodeToString(s.status.code()));
+    trace.End();
+    TS_METRICS_ONLY({ SlowQueryLog::Instance().Record(trace, s.statement); });
+    RetainedTraces::Instance().Record(trace);
   }
 
-  if (disconnected || conn->closed) return;
-  ProcessInput(conn);  // pipelined requests buffered during execution
+  if (conn->closed) return;
+  ProcessInput(conn);  // requests buffered behind the batch
   if (!conn->closed) UpdateInterest(conn);
 }
 
@@ -704,7 +743,7 @@ void NetServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
              pending_out <= options_.write_high_watermark / 2) {
     conn->reading_paused = false;
   }
-  // Input-side bound: while a statement executes, buffer at most one more
+  // Input-side bound: while a batch executes, buffer at most one more
   // maximal request's worth of pipelined bytes.
   const size_t input_cap =
       std::max(options_.max_frame_payload_bytes + kFrameHeaderBytes,
@@ -730,7 +769,7 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
   conn->closed = true;
   // A disconnect is a cancellation: no one is left to read the answer.
-  if (conn->active_trace != nullptr) conn->active_trace->RequestCancel();
+  for (const auto& trace : conn->active_traces) trace->RequestCancel();
   loop_.Deregister(conn->fd.get());
   connections_.erase(conn->fd.get());
   conn->fd.Reset();

@@ -12,26 +12,32 @@
 //
 // Operational policies, all tunable via ServerOptions:
 //
-//   Admission control — at most `max_inflight` statements execute or queue
-//   at once, process-wide. Excess requests are refused *before* execution
-//   (HTTP 503 / kRejected frame) rather than queued without bound: under
+//   Admission control — at most `max_inflight` batches execute or queue at
+//   once, process-wide. A batch is the run of query frames a TSP1
+//   connection has already buffered (at most `max_inflight` statements,
+//   stopping at the first other frame); an HTTP request is a batch of one.
+//   Excess requests are refused *before* execution (HTTP 503 / one
+//   kRejected frame per statement) rather than queued without bound: under
 //   overload the server sheds load in O(1) and stays responsive to
 //   telemetry scrapes, which never pass through admission.
 //
 //   Deadlines — a statement may carry a deadline (X-Tempspec-Deadline-Ms
 //   header / frame deadline prefix), clamped to `max_deadline_ms` and
 //   defaulted from `default_deadline_ms`. The deadline is armed on the
-//   query's TraceContext at admission, so queue wait counts against it; the
-//   executor polls it at morsel boundaries and the statement completes with
-//   Deadline exceeded (HTTP 504) instead of running to completion. A client
-//   that disconnects mid-query cancels it the same way.
+//   statement's own TraceContext at admission, so queue wait (including the
+//   earlier statements of its batch) counts against it; the executor polls
+//   it at morsel boundaries and the statement completes with Deadline
+//   exceeded (HTTP 504) instead of running to completion. A statement whose
+//   deadline passed before its turn is skipped, not executed. A client that
+//   disconnects mid-batch cancels every statement of the batch the same way.
 //
 //   Backpressure — each connection buffers writes; when a connection's
 //   buffer exceeds `write_high_watermark` the server stops reading from it
 //   until the buffer drains below half. A slow reader therefore throttles
-//   itself, not the process. One statement runs per connection at a time
-//   (pipelined requests stay buffered), so per-connection memory is bounded
-//   by the limits plus one response.
+//   itself, not the process. One batch runs per connection at a time
+//   (requests pipelined behind it stay buffered), and its replies go out
+//   together in one flush, so per-connection memory is bounded by the
+//   limits plus one batch's responses.
 #ifndef TEMPSPEC_NET_SERVER_H_
 #define TEMPSPEC_NET_SERVER_H_
 
@@ -92,7 +98,8 @@ struct ServerOptions {
   int backlog = 64;
   /// Open-connection cap; further accepts are closed immediately.
   size_t max_connections = 256;
-  /// Statements executing or queued process-wide; excess is rejected.
+  /// Batches executing or queued process-wide (excess is rejected), and the
+  /// most statements one batch takes from a connection's pipeline.
   size_t max_inflight = 8;
   size_t worker_threads = 2;
   HttpLimits http_limits;
@@ -117,7 +124,7 @@ struct ServerStats {
   uint64_t deadline_exceeded = 0;
   uint64_t protocol_errors = 0;      // malformed HTTP/frames
   uint64_t open_connections = 0;     // gauge
-  uint64_t inflight = 0;             // gauge
+  uint64_t inflight = 0;             // gauge: batches admitted, unanswered
 };
 
 class NetServer {
@@ -185,29 +192,37 @@ class NetServer {
     bool set = false;
   };
 
+  /// \brief One statement of a batch: the request as it arrived, its
+  /// server-owned span (set at admission) and its outcome (set by the
+  /// worker).
+  struct BatchStatement {
+    std::string statement;
+    uint64_t deadline_ms = 0;  // 0 = none supplied (the default applies)
+    WireTraceInfo wire;
+    std::shared_ptr<TraceContext> trace;
+    Status status;
+    std::string payload;
+  };
+
   void OnAccept();
   void OnConnectionEvent(const std::shared_ptr<Connection>& conn,
                          uint32_t events);
-  /// \brief Parses buffered input and dispatches at most one statement
+  /// \brief Parses buffered input and dispatches at most one batch
   /// (per-connection serialization); re-entered after each completion.
   void ProcessInput(const std::shared_ptr<Connection>& conn);
   void ProcessHttp(const std::shared_ptr<Connection>& conn);
   void ProcessFrames(const std::shared_ptr<Connection>& conn);
   void RouteHttpRequest(const std::shared_ptr<Connection>& conn);
-  /// \brief Admission + worker dispatch for one statement. `deadline_ms` 0
-  /// means "none supplied" (the default applies).
-  void DispatchStatement(const std::shared_ptr<Connection>& conn,
-                         std::string statement, uint64_t deadline_ms,
-                         const WireTraceInfo& wire, bool is_http,
-                         bool http_keep_alive);
-  /// \brief Response write + request-span finalization: ends the
-  /// server-owned span and records it into the slowlog/retained ring (the
-  /// statement text rides along for the slowlog entry).
-  void CompleteStatement(const std::shared_ptr<Connection>& conn,
-                         const std::shared_ptr<TraceContext>& trace,
-                         const std::string& statement, const Status& status,
-                         const std::string& payload, bool is_http,
-                         bool http_keep_alive);
+  /// \brief Admission + worker dispatch for one batch: one permit and one
+  /// worker task run its statements in order.
+  void DispatchBatch(const std::shared_ptr<Connection>& conn,
+                     std::vector<BatchStatement> batch, bool is_http,
+                     bool http_keep_alive);
+  /// \brief Writes the batch's replies in order with one flush, then ends
+  /// each statement's span and records it into the slowlog/retained ring.
+  void CompleteBatch(const std::shared_ptr<Connection>& conn,
+                     std::vector<BatchStatement> batch, bool is_http,
+                     bool http_keep_alive);
   void SendHttpResponse(const std::shared_ptr<Connection>& conn, int code,
                         std::string_view content_type, std::string_view body,
                         bool keep_alive);

@@ -51,10 +51,7 @@ void SlowQueryLog::SetSinkPath(std::string path) {
 void SlowQueryLog::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<ptrdiff_t>(ring_.size() - capacity_));
-  }
+  while (ring_.size() > capacity_) ring_.pop_front();
 }
 
 void SlowQueryLog::ConfigureFromEnv() {
@@ -98,11 +95,7 @@ void SlowQueryLog::Record(TraceContext& trace, const std::string& statement) {
     entry.trace_json = trace.ToJson();
     entry.sequence = ++sequence_;
     if (capacity_ == 0) return;
-    if (ring_.size() >= capacity_) {
-      ring_.erase(ring_.begin(),
-                  ring_.begin() +
-                      static_cast<ptrdiff_t>(ring_.size() - capacity_ + 1));
-    }
+    if (ring_.size() >= capacity_) ring_.pop_front();
     ring_.push_back(entry);
     sink_path = sink_path_;
   }
@@ -116,7 +109,7 @@ void SlowQueryLog::Record(TraceContext& trace, const std::string& statement) {
 
 std::vector<SlowQueryEntry> SlowQueryLog::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_;
+  return {ring_.begin(), ring_.end()};
 }
 
 uint64_t SlowQueryLog::TotalRecorded() const {

@@ -21,6 +21,7 @@
 #define TEMPSPEC_OBS_SLOWLOG_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -106,7 +107,7 @@ class SlowQueryLog {
   uint64_t threshold_micros_ = 10000;
   uint64_t sequence_ = 0;
   std::string sink_path_;
-  std::vector<SlowQueryEntry> ring_;  // oldest first
+  std::deque<SlowQueryEntry> ring_;  // oldest first
 };
 
 }  // namespace tempspec

@@ -196,10 +196,7 @@ RetainedTraces& RetainedTraces::Instance() {
 void RetainedTraces::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<ptrdiff_t>(ring_.size() - capacity_));
-  }
+  while (ring_.size() > capacity_) ring_.pop_front();
 }
 
 size_t RetainedTraces::capacity() const {
@@ -249,18 +246,14 @@ void RetainedTraces::Record(TraceContext& trace) {
           .count());
   entry.span = trace.name();
   entry.json = trace.ToJson();
-  if (ring_.size() >= capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() +
-                    static_cast<ptrdiff_t>(ring_.size() - capacity_ + 1));
-  }
+  if (ring_.size() >= capacity_) ring_.pop_front();
   ring_.push_back(std::move(entry));
   ++retained_;
 }
 
 std::vector<RetainedTrace> RetainedTraces::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_;
+  return {ring_.begin(), ring_.end()};
 }
 
 uint64_t RetainedTraces::TotalSeen() const {

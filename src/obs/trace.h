@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -215,7 +216,7 @@ class RetainedTraces {
   uint64_t sample_every_;
   uint64_t seen_ = 0;
   uint64_t retained_ = 0;
-  std::vector<RetainedTrace> ring_;  // oldest first
+  std::deque<RetainedTrace> ring_;  // oldest first
 };
 
 }  // namespace tempspec

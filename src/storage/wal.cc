@@ -197,37 +197,64 @@ Status WriteAheadLog::Sync() {
 
 Result<uint64_t> WriteAheadLog::Replay(
     const std::function<Status(uint64_t, std::string_view)>& fn) {
-  // Read the whole file via a separate descriptor so the append offset is
-  // untouched.
+  // Read via a separate descriptor so the append offset is untouched.
   const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError("cannot reopen WAL '", path_, "' for replay");
   }
-  std::string content;
-  char buf[1 << 16];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    content.append(buf, static_cast<size_t>(n));
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("cannot stat WAL '", path_, "' for replay: ",
+                           std::strerror(err));
   }
-  ::close(fd);
+  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+  // Records are parsed out of a fixed read window, so replay memory does
+  // not grow with the log. Only a record longer than the window grows it,
+  // and only to that record's size.
+  std::string window(kReplayWindowBytes, '\0');
+  size_t begin = 0;  // window[begin, end) holds the unparsed bytes read so far
+  size_t end = 0;
+  // Makes `need` bytes available at window[begin]; false when the file ends
+  // (or a read fails) first.
+  const auto fill = [&](size_t need) {
+    while (end - begin < need) {
+      if (window.size() - begin < need) {
+        std::memmove(window.data(), window.data() + begin, end - begin);
+        end -= begin;
+        begin = 0;
+        if (window.size() < need) window.resize(need);
+      }
+      const ssize_t n = ::read(fd, window.data() + end, window.size() - end);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      end += static_cast<size_t>(n);
+    }
+    return true;
+  };
 
   uint64_t count = 0;
-  size_t pos = 0;
+  uint64_t pos = 0;  // file offset of window[begin]
   uint64_t max_lsn_seen = next_lsn_ == 0 ? 0 : next_lsn_ - 1;
   bool any = next_lsn_ > 0;
-  while (pos + kRecordHeaderSize <= content.size()) {
-    Decoder dec(std::string_view(content).substr(pos, kRecordHeaderSize));
+  Status status = Status::OK();
+  while (fill(kRecordHeaderSize)) {
+    Decoder dec(std::string_view(window.data() + begin, kRecordHeaderSize));
     const uint32_t len = dec.GetU32().ValueOrDie();
     const uint32_t crc = dec.GetU32().ValueOrDie();
     const uint64_t epoch = dec.GetU64().ValueOrDie();
     const uint64_t lsn = dec.GetU64().ValueOrDie();
-    if (pos + kRecordHeaderSize + len > content.size()) break;  // torn tail
-    const std::string_view body(content.data() + pos + 8,
+    const size_t record_bytes = kRecordHeaderSize + len;
+    // Torn tail. The length is checked against the file before any read, so
+    // a corrupt length cannot grow the window.
+    if (pos + record_bytes > file_bytes || !fill(record_bytes)) break;
+    const std::string_view body(window.data() + begin + 8,
                                 16 + len);  // epoch+lsn+payload
     if (Crc32(body) != crc) break;  // corrupt tail
     if (epoch == epoch_) {
-      const std::string_view payload = body.substr(16);
-      TS_RETURN_NOT_OK(fn(lsn, payload));
+      status = fn(lsn, body.substr(16));
+      if (!status.ok()) break;
       if (!any || lsn > max_lsn_seen) {
         max_lsn_seen = lsn;
         any = true;
@@ -237,8 +264,11 @@ Result<uint64_t> WriteAheadLog::Replay(
     // Records of another epoch belong to a superseded generation (a
     // compaction whose Reset never became durable): walk past them without
     // delivering or letting their old LSNs advance the counter.
-    pos += kRecordHeaderSize + len;
+    begin += record_bytes;
+    pos += record_bytes;
   }
+  ::close(fd);
+  TS_RETURN_NOT_OK(status);
   if (any) next_lsn_ = max_lsn_seen + 1;
   intact_bytes_ = pos;
   return count;

@@ -44,6 +44,10 @@ enum class SyncMode : uint8_t {
 /// \brief Append-only log file with CRC-checked records.
 class WriteAheadLog {
  public:
+  /// \brief Replay reads the log through a window of this many bytes; a
+  /// record longer than the window grows it to that record's size.
+  static constexpr size_t kReplayWindowBytes = 64 * 1024;
+
   /// \brief Opens the log. `epoch` selects which generation of records
   /// Replay() delivers (the backlog store passes the epoch recovered from
   /// its page-file header).
@@ -65,7 +69,8 @@ class WriteAheadLog {
   /// \brief Replays all intact records of the current epoch from the
   /// beginning; records of other epochs (a superseded generation whose
   /// Reset never became durable) are skipped. Returns the number of records
-  /// delivered.
+  /// delivered. `payload` is valid only during its call: records are parsed
+  /// out of a reused read window.
   Result<uint64_t> Replay(
       const std::function<Status(uint64_t lsn, std::string_view payload)>& fn);
 

@@ -2,7 +2,8 @@
 // sockets against scripted statement handlers: HTTP and TSP1 frame
 // round-trips, keep-alive and pipelining, admission control (503/kRejected),
 // deadline propagation and enforcement (504), client-disconnect
-// cancellation, and clean rejection of malformed input on both protocols.
+// cancellation, clean rejection of malformed input on both protocols, and
+// the batching of a TSP1 connection's pipelined statements.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -10,21 +11,29 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/net_test_client.h"
+#include "obs/trace.h"
 #include "testing.h"
+#include "testing_json.h"
 
 namespace tempspec {
 namespace {
 
 using namespace std::chrono_literals;
+using testing::JsonParser;
+using testing::JsonValue;
 using testing::QueryFrame;
 using testing::TestClient;
 using testing::WaitFor;
@@ -456,6 +465,243 @@ TEST_F(NetServerTest, StopCancelsParkedStatements) {
   ASSERT_TRUE(WaitFor([&] { return entered.load(); }));
   server_->Stop();  // must cancel the in-flight statement, not wait 20s
   EXPECT_TRUE(cancelled.load());
+}
+
+// ---------------------------------------------------------------------------
+// Batches: a TSP1 connection's already-buffered query frames run as one
+// worker task under one admission permit, and their replies go out together.
+// Each test pipelines its frames in one write, so the server reads them in
+// one pass. Several of them park the first statement so the batch's
+// admission is visible in Stats().requests: under one-statement-at-a-time
+// dispatch only that first statement would have been admitted.
+
+/// Parks the statements that wait on it until Open(); the fixture opens it
+/// before stopping the server, so a failed assertion cannot hang TearDown.
+class Gate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+class NetServerBatchTest : public NetServerTest {
+ protected:
+  void TearDown() override {
+    gate_.Open();
+    NetServerTest::TearDown();
+  }
+
+  /// Echoes "r:<statement>"; the statement "park" first waits on the gate.
+  void StartEchoServer(ServerOptions options = {}) {
+    StartServer(options, [this](const std::string& statement, TraceContext*) {
+      calls_.fetch_add(1);
+      if (statement == "park") {
+        parked_.store(true);
+        gate_.Wait();
+      }
+      return Result<std::string>("r:" + statement);
+    });
+  }
+
+  Gate gate_;
+  std::atomic<int> calls_{0};
+  std::atomic<bool> parked_{false};
+};
+
+Frame PingFrame(const std::string& payload) {
+  Frame ping;
+  ping.type = FrameType::kPing;
+  ping.payload = payload;
+  return ping;
+}
+
+std::string Wire(const std::vector<Frame>& frames) {
+  std::string wire;
+  for (const Frame& frame : frames) EncodeFrame(frame, &wire);
+  return wire;
+}
+
+TEST_F(NetServerBatchTest, PingBetweenPipelinedQueriesKeepsSendOrder) {
+  StartEchoServer();
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.Send(Wire({QueryFrame("park"), QueryFrame("a"),
+                                QueryFrame("b"), PingFrame("p"),
+                                QueryFrame("c"), QueryFrame("d")})));
+  ASSERT_TRUE(WaitFor([&] { return parked_.load(); }));
+  // The batch stops at the ping: the three queries before it were admitted
+  // together, the ping waits for their replies.
+  EXPECT_EQ(server_->Stats().requests, 3u);
+  gate_.Open();
+  const std::vector<std::pair<FrameType, std::string>> expected = {
+      {FrameType::kResult, "r:park"}, {FrameType::kResult, "r:a"},
+      {FrameType::kResult, "r:b"},    {FrameType::kPong, "p"},
+      {FrameType::kResult, "r:c"},    {FrameType::kResult, "r:d"}};
+  for (const auto& [type, payload] : expected) {
+    ASSERT_OK_AND_ASSIGN(Frame reply, client.ReadFrame());
+    EXPECT_EQ(reply.type, type) << payload;
+    EXPECT_EQ(reply.payload, payload);
+  }
+  EXPECT_EQ(server_->Stats().requests, 5u);
+}
+
+TEST_F(NetServerBatchTest, DisconnectSkipsTheRestOfTheBatch) {
+  StartEchoServer();
+  {
+    TestClient client(server_->port());
+    ASSERT_TRUE(client.Send(Wire({QueryFrame("park"), QueryFrame("a"),
+                                  QueryFrame("b"), QueryFrame("c")})));
+    ASSERT_TRUE(WaitFor([&] { return parked_.load(); }));
+    EXPECT_EQ(server_->Stats().requests, 4u);  // one batch of four
+  }  // the client leaves while the batch's first statement runs
+  ASSERT_TRUE(WaitFor([&] { return server_->Stats().open_connections == 0; }));
+  gate_.Open();
+  ASSERT_TRUE(WaitFor([&] { return server_->Stats().inflight == 0; }));
+  EXPECT_EQ(calls_.load(), 1) << "statements of a cancelled batch ran";
+}
+
+TEST_F(NetServerBatchTest, ExpiredDeadlineSkipsOnlyItsStatement) {
+  StartEchoServer();
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.Send(
+      Wire({QueryFrame("park"),
+            QueryFrame("late", /*deadline_ms=*/1, /*with_deadline=*/true),
+            QueryFrame("after")})));
+  ASSERT_TRUE(WaitFor([&] { return parked_.load(); }));
+  // "late" was admitted with the batch; its 1 ms runs out behind "park".
+  std::this_thread::sleep_for(20ms);
+  gate_.Open();
+  ASSERT_OK_AND_ASSIGN(Frame first, client.ReadFrame());
+  ASSERT_OK_AND_ASSIGN(Frame late, client.ReadFrame());
+  ASSERT_OK_AND_ASSIGN(Frame after, client.ReadFrame());
+  EXPECT_EQ(first.type, FrameType::kResult);
+  EXPECT_EQ(first.payload, "r:park");
+  EXPECT_EQ(late.type, FrameType::kError);
+  EXPECT_NE(late.payload.find(
+                StatusCodeToString(StatusCode::kDeadlineExceeded)),
+            std::string::npos)
+      << late.payload;
+  EXPECT_EQ(after.type, FrameType::kResult);
+  EXPECT_EQ(after.payload, "r:after");
+  EXPECT_EQ(calls_.load(), 2);  // "late" was skipped, not executed
+  EXPECT_EQ(server_->Stats().deadline_exceeded, 1u);
+}
+
+TEST_F(NetServerBatchTest, CorruptFrameErrorFollowsTheBatchReplies) {
+  StartEchoServer();
+  TestClient client(server_->port());
+  std::string corrupt;
+  EncodeFrame(QueryFrame("x"), &corrupt);
+  corrupt[12] ^= 0x5A;  // break the CRC
+  ASSERT_TRUE(client.Send(
+      Wire({QueryFrame("park"), QueryFrame("a"), QueryFrame("b")}) + corrupt));
+  ASSERT_TRUE(WaitFor([&] { return parked_.load(); }));
+  // The poisoned frame ends the batch but is reported only after it.
+  EXPECT_EQ(server_->Stats().requests, 3u);
+  EXPECT_EQ(server_->Stats().protocol_errors, 0u);
+  gate_.Open();
+  for (const char* payload : {"r:park", "r:a", "r:b"}) {
+    ASSERT_OK_AND_ASSIGN(Frame reply, client.ReadFrame());
+    EXPECT_EQ(reply.type, FrameType::kResult);
+    EXPECT_EQ(reply.payload, payload);
+  }
+  ASSERT_OK_AND_ASSIGN(Frame error, client.ReadFrame());
+  EXPECT_EQ(error.type, FrameType::kError);
+  EXPECT_NE(error.payload.find("CRC"), std::string::npos) << error.payload;
+  EXPECT_EQ(client.ReadToEof(), "");
+}
+
+TEST_F(NetServerBatchTest, PipelinedConnectionsEachHoldOnePermit) {
+  // 3 connections x 64 pipelined statements under the default options
+  // (max_inflight 8): a permit per statement would refuse most of them.
+  StartEchoServer();
+  constexpr int kClients = 3;
+  constexpr int kDepth = 64;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<TestClient>(server_->port()));
+    std::vector<Frame> frames;
+    for (int i = 0; i < kDepth; ++i) {
+      frames.push_back(QueryFrame(std::to_string(c) + "." + std::to_string(i)));
+    }
+    ASSERT_TRUE(clients.back()->Send(Wire(frames)));
+  }
+  int results = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kDepth; ++i) {
+      ASSERT_OK_AND_ASSIGN(Frame reply, clients[c]->ReadFrame());
+      EXPECT_EQ(reply.type, FrameType::kResult);
+      EXPECT_EQ(reply.payload,
+                "r:" + std::to_string(c) + "." + std::to_string(i));
+      if (reply.type == FrameType::kResult) ++results;
+    }
+  }
+  EXPECT_EQ(results, kClients * kDepth);
+  EXPECT_EQ(server_->Stats().requests_rejected, 0u);
+  EXPECT_EQ(server_->Stats().requests,
+            static_cast<uint64_t>(kClients * kDepth));
+}
+
+TEST_F(NetServerBatchTest, EveryBatchedStatementKeepsItsOwnSpan) {
+  RetainedTraces::Instance().Clear();
+  StartServer({}, [](const std::string& statement, TraceContext*) {
+    if (statement == "slow") std::this_thread::sleep_for(20ms);
+    return Result<std::string>("r:" + statement);
+  });
+  TestClient client(server_->port());
+  std::vector<Frame> frames;
+  for (uint64_t i = 1; i <= 3; ++i) {
+    Frame frame = QueryFrame(i == 1 ? "slow" : "fast");
+    frame.flags |= kFrameFlagTrace;
+    frame.trace_hi = 0;
+    frame.trace_lo = i;  // names the span by its position in the batch
+    frame.span_id = i;
+    frames.push_back(frame);
+  }
+  ASSERT_TRUE(client.Send(Wire(frames)));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(Frame reply, client.ReadFrame());
+    EXPECT_EQ(reply.type, FrameType::kResult);
+  }
+  // Spans are recorded right after the batch's replies are written.
+  ASSERT_TRUE(WaitFor(
+      [&] { return RetainedTraces::Instance().Entries().size() >= 3; }));
+  const std::vector<RetainedTrace> entries =
+      RetainedTraces::Instance().Entries();
+  ASSERT_EQ(entries.size(), 3u);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    const RetainedTrace& entry = entries[i - 1];
+    EXPECT_EQ(entry.span, "server.request");
+    ASSERT_OK_AND_ASSIGN(JsonValue span, JsonParser::Parse(entry.json));
+    char wire[33];
+    std::snprintf(wire, sizeof(wire), "%016llx%016llx", 0ULL,
+                  static_cast<unsigned long long>(i));
+    EXPECT_EQ(span.at("wire_trace").string, wire);
+    std::map<std::string, uint64_t> stages;
+    for (const JsonValue& stage : span.at("stages").array) {
+      stages[stage.at("name").string] =
+          std::stoull(stage.at("micros").number);
+    }
+    ASSERT_EQ(stages.count("queue.wait"), 1u) << entry.json;
+    ASSERT_EQ(stages.count("execute"), 1u) << entry.json;
+    ASSERT_EQ(stages.count("respond"), 1u) << entry.json;
+    // A later statement's queue wait includes the earlier ones of its batch.
+    if (i > 1) {
+      EXPECT_GE(stages["queue.wait"], 20000u) << entry.json;
+    }
+  }
 }
 
 }  // namespace

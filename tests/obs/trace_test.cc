@@ -159,6 +159,24 @@ TEST(RetainedTracesTest, CapacityEvictsOldest) {
   EXPECT_EQ(entries[0].span, "c");
 }
 
+TEST(RetainedTracesTest, FullRingKeepsTheNewestOldestFirst) {
+  // Every span past capacity evicts exactly the oldest one, however many
+  // times the ring wraps; the totals still count every span.
+  RetainedTraces ring(3, 1);
+  for (int i = 0; i < 10; ++i) {
+    TraceContext span;
+    span.Begin("s" + std::to_string(i));
+    ring.Record(span);
+  }
+  const std::vector<RetainedTrace> entries = ring.Entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].span, "s7");
+  EXPECT_EQ(entries[1].span, "s8");
+  EXPECT_EQ(entries[2].span, "s9");
+  EXPECT_EQ(ring.TotalSeen(), 10u);
+  EXPECT_EQ(ring.TotalRetained(), 10u);
+}
+
 TEST(RetainedTracesTest, SamplerKeepsOneOfEveryN) {
   RetainedTraces ring(8, 2);
   for (int i = 0; i < 4; ++i) {

@@ -5,6 +5,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -247,6 +252,134 @@ TEST(WalTest, ResetClearsContentsButKeepsLsns) {
                        }));
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(wal->Append("y").ValueOrDie(), 1u);  // LSN continues
+}
+
+// --- Windowed replay -------------------------------------------------------
+// Replay parses records out of a fixed read window. These tests place the
+// window's first boundary inside a header's length field, inside its CRC and
+// inside a payload, add a record larger than the window, then cut the file
+// at every byte offset around those points: Replay must deliver what a
+// whole-file decode delivers, and Open must cut the tail at the same byte.
+
+using WalRecords = std::vector<std::pair<uint64_t, std::string>>;
+
+constexpr size_t kWalHeaderBytes = 24;  // len, crc, epoch, lsn
+
+/// Decodes a whole log image the straightforward way (the reference).
+WalRecords ReferenceDecode(const std::string& bytes, uint64_t* intact) {
+  WalRecords records;
+  size_t pos = 0;
+  while (pos + kWalHeaderBytes <= bytes.size()) {
+    Decoder dec(std::string_view(bytes).substr(pos, kWalHeaderBytes));
+    const uint32_t len = dec.GetU32().ValueOrDie();
+    const uint32_t crc = dec.GetU32().ValueOrDie();
+    dec.GetU64().ValueOrDie();  // epoch: every record here is epoch 0
+    const uint64_t lsn = dec.GetU64().ValueOrDie();
+    if (pos + kWalHeaderBytes + len > bytes.size()) break;
+    if (Crc32(std::string_view(bytes).substr(pos + 8, 16 + len)) != crc) break;
+    records.emplace_back(lsn, bytes.substr(pos + kWalHeaderBytes, len));
+    pos += kWalHeaderBytes + len;
+  }
+  *intact = pos;
+  return records;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Appends one record per payload size (distinct contents) and returns the
+/// log's bytes.
+std::string BuildLog(const std::string& path,
+                     const std::vector<size_t>& payload_sizes) {
+  auto wal = WriteAheadLog::Open(path).ValueOrDie();
+  for (size_t i = 0; i < payload_sizes.size(); ++i) {
+    std::string payload(payload_sizes[i], '\0');
+    for (size_t j = 0; j < payload.size(); ++j) {
+      payload[j] = static_cast<char>('a' + (i * 7 + j) % 26);
+    }
+    EXPECT_TRUE(wal->Append(payload).ok());
+  }
+  wal.reset();
+  return ReadFileBytes(path);
+}
+
+/// Cuts `full` at every offset in [center - radius, center + radius] and
+/// checks Open's tail cut and Replay's records against the reference.
+void CheckCutsAround(const TempDir& dir, const std::string& full,
+                     size_t center, size_t radius) {
+  const std::string path = dir.file("cut");
+  for (size_t cut = center - radius; cut <= center + radius; ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const std::string image = full.substr(0, std::min(cut, full.size()));
+    uint64_t intact = 0;
+    const WalRecords expected = ReferenceDecode(image, &intact);
+    WriteFileBytes(path, image);
+    ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(path));
+    EXPECT_EQ(std::filesystem::file_size(path), intact);
+    EXPECT_EQ(wal->next_lsn(), expected.size());
+    WalRecords seen;
+    ASSERT_OK_AND_ASSIGN(uint64_t n,
+                         wal->Replay([&](uint64_t lsn, std::string_view p) {
+                           seen.emplace_back(lsn, std::string(p));
+                           return Status::OK();
+                         }));
+    EXPECT_EQ(n, expected.size());
+    EXPECT_EQ(seen, expected);
+  }
+}
+
+TEST(WalTest, WindowBoundaryInsideAHeaderOrPayload) {
+  constexpr size_t kWindow = WriteAheadLog::kReplayWindowBytes;
+  // The second record's header starts `offset` bytes before the boundary:
+  // 2 puts the boundary in its length field, 6 in its CRC, 34 ten bytes
+  // into its payload.
+  for (const size_t offset : {size_t{2}, size_t{6}, size_t{34}}) {
+    SCOPED_TRACE("second header starts " + std::to_string(offset) +
+                 " bytes before the window boundary");
+    TempDir dir;
+    const std::string full = BuildLog(
+        dir.file("wal"), {kWindow - kWalHeaderBytes - offset, 100, 100, 3});
+    ASSERT_EQ(full.size(), kWindow - offset + 3 * kWalHeaderBytes + 203);
+    CheckCutsAround(dir, full, kWindow, 40);
+    CheckCutsAround(dir, full, full.size() - 40, 40);  // through the end
+  }
+}
+
+TEST(WalTest, RecordLargerThanTheWindowReplays) {
+  constexpr size_t kWindow = WriteAheadLog::kReplayWindowBytes;
+  TempDir dir;
+  const std::vector<size_t> sizes = {10, 2 * kWindow + 123, 10};
+  const std::string full = BuildLog(dir.file("wal"), sizes);
+  const size_t big_end = 2 * kWalHeaderBytes + sizes[0] + sizes[1];
+  CheckCutsAround(dir, full, kWindow, 30);
+  CheckCutsAround(dir, full, big_end, 30);
+}
+
+TEST(WalTest, CorruptLengthAtTheTailIsCutNotRead) {
+  // A torn header claiming a ~4 GiB record: replay must stop at it (and
+  // Open cut it off) without trying to read or allocate the record.
+  TempDir dir;
+  const std::string path = dir.file("wal");
+  std::string image = BuildLog(path, {50, 50});
+  const size_t intact_size = image.size();
+  std::string header;
+  Encoder enc(&header);
+  enc.PutU32(0xFFFFFFF0u);
+  enc.PutU32(0);
+  enc.PutU64(0);
+  enc.PutU64(2);
+  image += header + "tail";
+  WriteFileBytes(path, image);
+  ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(path));
+  EXPECT_EQ(std::filesystem::file_size(path), intact_size);
+  EXPECT_EQ(wal->next_lsn(), 2u);
 }
 
 }  // namespace

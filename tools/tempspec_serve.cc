@@ -19,7 +19,8 @@
 //   --data-dir=D            persistence root    (TEMPSPEC_SERVE_DATA_DIR,
 //                                                empty = in-memory)
 //   --portfile=P            write the bound port here (TEMPSPEC_SERVE_PORTFILE)
-//   --max-inflight=N        admission cap, >= 1 (TEMPSPEC_SERVE_MAX_INFLIGHT)
+//   --max-inflight=N        admission cap in batches, and the most statements
+//                           one batch takes, >= 1 (TEMPSPEC_SERVE_MAX_INFLIGHT)
 //   --workers=N             statement worker threads  (TEMPSPEC_SERVE_WORKERS)
 //   --default-deadline-ms=N applied when a request has none, 0 = unlimited
 //   --max-deadline-ms=N     clamp for client deadlines, 0 = no clamp
