@@ -46,8 +46,10 @@ inline WorkloadConfig ConfigFor(int64_t total_elements, size_t num_objects = 16)
 }
 
 /// \brief The always-available naive plan.
-inline PlanChoice FullScanPlan() {
-  return PlanChoice{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
+inline const PlanChoice& FullScanPlan() {
+  static const PlanChoice plan{ExecutionStrategy::kFullScan,
+                               TimeInterval::All(), ""};
+  return plan;
 }
 
 /// \brief Publishes accumulated QueryStats as per-iteration counters

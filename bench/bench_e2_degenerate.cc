@@ -55,7 +55,8 @@ void RunTimeslices(benchmark::State& state, ExecutionStrategy strategy) {
         plan = exec.optimizer().PlanTimeslice(vt);
         break;
     }
-    auto result = exec.TimesliceWith(plan, vt, &stats);
+    auto result =
+        exec.Execute(TemporalQuery::Timeslice(vt), &stats, &plan).Materialize();
     results += result.size();
     benchmark::DoNotOptimize(result);
   }

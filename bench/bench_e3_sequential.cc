@@ -56,9 +56,10 @@ void RunHistoricalQueries(benchmark::State& state, bool use_specialization) {
   for (auto _ : state) {
     const TimePoint lo = probes[probe++ % probes.size()];
     const TimePoint hi = lo + Duration::Seconds(64);
-    auto result = use_specialization
-                      ? exec.ValidRange(lo, hi, &stats)
-                      : exec.ValidRangeWith(FullScanPlan(), lo, hi, &stats);
+    auto result =
+        exec.Execute(TemporalQuery::ValidRange(lo, hi), &stats,
+                     use_specialization ? nullptr : &FullScanPlan())
+            .Materialize();
     benchmark::DoNotOptimize(result);
   }
   state.counters["elements_examined_per_query"] = benchmark::Counter(

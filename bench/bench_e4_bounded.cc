@@ -54,7 +54,9 @@ void BM_Timeslice_BoundSweep(benchmark::State& state) {
   for (auto _ : state) {
     const Element& probe = scenario->elements()[(i * 199) % scenario->size()];
     ++i;
-    auto result = exec.Timeslice(probe.valid.at(), &stats);
+    auto result =
+        exec.Execute(TemporalQuery::Timeslice(probe.valid.at()), &stats)
+            .Materialize();
     benchmark::DoNotOptimize(result);
   }
   state.counters["bound_minutes"] =
@@ -71,7 +73,9 @@ void BM_Timeslice_BoundSweep_ScanBaseline(benchmark::State& state) {
   for (auto _ : state) {
     const Element& probe = scenario->elements()[(i * 199) % scenario->size()];
     ++i;
-    auto result = exec.TimesliceWith(FullScanPlan(), probe.valid.at(), &stats);
+    auto result = exec.Execute(TemporalQuery::Timeslice(probe.valid.at()),
+                               &stats, &FullScanPlan())
+                      .Materialize();
     benchmark::DoNotOptimize(result);
   }
   state.counters["elements_examined_per_query"] = benchmark::Counter(

@@ -63,7 +63,8 @@ void RunRangeQueries(benchmark::State& state, ExecutionStrategy strategy) {
         plan = exec.optimizer().PlanValidRange(lo, hi);
         break;
     }
-    auto result = exec.ValidRangeWith(plan, lo, hi, &stats);
+    auto result = exec.Execute(TemporalQuery::ValidRange(lo, hi), &stats, &plan)
+                      .Materialize();
     results += result.size();
     benchmark::DoNotOptimize(result);
   }

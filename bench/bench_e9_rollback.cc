@@ -4,11 +4,11 @@
 // One random insert/delete op stream is pushed through a TemporalRelation.
 // The naive variant replays that stream as the relation's backlog holds it
 // (OperationsOf its elements) up to each instant (MaterializeState); the
-// engine variants answer the same instants with QueryExecutor: Rollback for
-// materialized rows, RollbackSet for positions only. Relations are
-// append-only and entered in time-stamp order (Section 3.1), so the rows
-// stored by T are a prefix found by one binary search on the tt_start
-// column.
+// engine variants answer the same instants with QueryExecutor::Execute of a
+// TemporalQuery::Rollback: materialized rows, or the positions only.
+// Relations are append-only and entered in time-stamp order (Section 3.1),
+// so the rows stored by T are a prefix found by one binary search on the
+// tt_start column.
 #include "bench_common.h"
 
 using namespace tempspec;
@@ -65,7 +65,10 @@ void BM_Rollback_PrefixScan(benchmark::State& state) {
   QueryStats stats;
   Random rng(29);
   for (auto _ : state) {
-    auto result = exec.Rollback(RandomInstant(rng, state.range(0)), &stats);
+    auto result = exec.Execute(TemporalQuery::Rollback(
+                                   RandomInstant(rng, state.range(0))),
+                               &stats)
+                      .Materialize(exec.options().pool);
     benchmark::DoNotOptimize(result);
   }
   tempspec::bench::ReportQueryStats(state, stats);
@@ -78,7 +81,8 @@ void BM_Rollback_PrefixScanPositions(benchmark::State& state) {
   QueryStats stats;
   Random rng(29);
   for (auto _ : state) {
-    ResultSet result = exec.RollbackSet(RandomInstant(rng, state.range(0)), &stats);
+    ResultSet result = exec.Execute(
+        TemporalQuery::Rollback(RandomInstant(rng, state.range(0))), &stats);
     benchmark::DoNotOptimize(result.positions().data());
   }
   tempspec::bench::ReportQueryStats(state, stats);

@@ -8,7 +8,7 @@
 //
 //   * full-scan valid-range queries, serial vs parallel at 1/2/4/all threads
 //     (the ≥2x-at-4-cores acceptance gate, on byte-identical results);
-//   * zero-copy TimesliceSet vs the materializing adapter;
+//   * a zero-copy ResultSet vs the same result materialized;
 //   * parallel rollback scans;
 //   * morsel-size sweep (dispatch overhead vs load balance).
 //
@@ -68,8 +68,8 @@ void RunFullScan(benchmark::State& state, ThreadPool* pool) {
   QueryStats stats;
   for (auto _ : state) {
     const TimeInterval w = QueryWindow(rng);
-    ResultSet set =
-        exec.ValidRangeSetWith(FullScanPlan(), w.begin(), w.end(), &stats);
+    ResultSet set = exec.Execute(TemporalQuery::ValidRange(w.begin(), w.end()),
+                                 &stats, &FullScanPlan());
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);
@@ -98,10 +98,9 @@ void BM_P1_ParallelParity(benchmark::State& state) {
   Random rng(43);
   for (auto _ : state) {
     const TimeInterval w = QueryWindow(rng);
-    const ResultSet a =
-        serial.ValidRangeSetWith(FullScanPlan(), w.begin(), w.end());
-    const ResultSet b =
-        parallel.ValidRangeSetWith(FullScanPlan(), w.begin(), w.end());
+    const TemporalQuery q = TemporalQuery::ValidRange(w.begin(), w.end());
+    const ResultSet a = serial.Execute(q, nullptr, &FullScanPlan());
+    const ResultSet b = parallel.Execute(q, nullptr, &FullScanPlan());
     if (a.positions() != b.positions()) {
       state.SkipWithError("parallel full scan diverged from serial");
       return;
@@ -118,7 +117,8 @@ void BM_P1_Timeslice_ZeroCopy(benchmark::State& state) {
   QueryStats stats;
   for (auto _ : state) {
     const TimeInterval w = QueryWindow(rng);
-    ResultSet set = exec.ValidRangeSet(w.begin(), w.end(), &stats);
+    ResultSet set =
+        exec.Execute(TemporalQuery::ValidRange(w.begin(), w.end()), &stats);
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);
@@ -132,7 +132,9 @@ void BM_P1_Timeslice_Materialized(benchmark::State& state) {
   QueryStats stats;
   for (auto _ : state) {
     const TimeInterval w = QueryWindow(rng);
-    std::vector<Element> out = exec.ValidRange(w.begin(), w.end(), &stats);
+    std::vector<Element> out =
+        exec.Execute(TemporalQuery::ValidRange(w.begin(), w.end()), &stats)
+            .Materialize(&pool);
     benchmark::DoNotOptimize(out.data());
   }
   ReportQueryStats(state, stats);
@@ -152,7 +154,7 @@ void BM_P1_Rollback_Scan(benchmark::State& state) {
   for (auto _ : state) {
     const TimePoint tt =
         TimePoint::FromMicros(rng.Uniform(0, last.micros()));
-    ResultSet set = exec.RollbackSet(tt, &stats);
+    ResultSet set = exec.Execute(TemporalQuery::Rollback(tt), &stats);
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);
@@ -171,8 +173,8 @@ void BM_P1_MorselSweep(benchmark::State& state) {
   QueryStats stats;
   for (auto _ : state) {
     const TimeInterval w = QueryWindow(rng);
-    ResultSet set =
-        exec.ValidRangeSetWith(FullScanPlan(), w.begin(), w.end(), &stats);
+    ResultSet set = exec.Execute(TemporalQuery::ValidRange(w.begin(), w.end()),
+                                 &stats, &FullScanPlan());
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);

@@ -163,7 +163,8 @@ void RunPane(benchmark::State& state, Pane pane, const PlanChoice& plan,
     const PlanChoice chosen =
         planned ? exec.optimizer().PlanValidRange(w.begin(), w.end()) : plan;
     ResultSet set =
-        exec.ValidRangeSetWith(chosen, w.begin(), w.end(), &stats);
+        exec.Execute(TemporalQuery::ValidRange(w.begin(), w.end()), &stats,
+                     &chosen);
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);
@@ -211,7 +212,7 @@ void BM_P2_Existence_Current(benchmark::State& state) {
   QueryExecutor exec(*pr.relation, ExecutorOptions{.pool = nullptr});
   QueryStats stats;
   for (auto _ : state) {
-    ResultSet set = exec.CurrentSet(&stats);
+    ResultSet set = exec.Execute(TemporalQuery::Current(), &stats);
     benchmark::DoNotOptimize(set.positions().data());
   }
   ReportQueryStats(state, stats);
@@ -233,14 +234,12 @@ void BM_P2_KernelParity(benchmark::State& state) {
       QueryExecutor serial(*pr.relation, ExecutorOptions{.pool = nullptr});
       QueryExecutor parallel(*pr.relation, ExecutorOptions{.pool = &pool});
       const TimeInterval w = QueryWindow(pr, rng);
-      const ResultSet row =
-          serial.ValidRangeSetWith(FullScanPlan(), w.begin(), w.end());
-      const ResultSet generic = serial.ValidRangeSetWith(
-          FullScanWith(ScanKernel::kGeneric), w.begin(), w.end());
-      const ResultSet specialized =
-          serial.ValidRangeSet(w.begin(), w.end());
-      const ResultSet par = parallel.ValidRangeSetWith(
-          FullScanWith(ScanKernel::kGeneric), w.begin(), w.end());
+      const TemporalQuery q = TemporalQuery::ValidRange(w.begin(), w.end());
+      const PlanChoice generic_plan = FullScanWith(ScanKernel::kGeneric);
+      const ResultSet row = serial.Execute(q, nullptr, &FullScanPlan());
+      const ResultSet generic = serial.Execute(q, nullptr, &generic_plan);
+      const ResultSet specialized = serial.Execute(q);
+      const ResultSet par = parallel.Execute(q, nullptr, &generic_plan);
       if (generic.positions() != row.positions()) {
         state.SkipWithError("generic kernel diverged from row-at-a-time");
         return;

@@ -19,6 +19,10 @@
 //   HttpQuerySequential   — the same CURRENT over keep-alive HTTP POST, for
 //                           the protocol-overhead comparison.
 //
+// Every benchmark runs on wall-clock time (UseRealTime), so requests_per_sec
+// is requests per second of wall time: the client thread mostly waits on
+// the socket, and a rate over its CPU time would overstate throughput.
+//
 // Knobs: TEMPSPEC_P3_ROWS (relation population, default 16),
 // TEMPSPEC_P3_PIPELINE (pipeline depth, default 64).
 #include <arpa/inet.h>
@@ -232,7 +236,9 @@ void BM_BinaryQueryPipelined(benchmark::State& state) {
   state.counters["pipeline_depth"] = static_cast<double>(depth);
   state.counters["rows"] = static_cast<double>(Rows());
 }
-BENCHMARK(BM_BinaryQueryPipelined)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BinaryQueryPipelined)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_BinaryPingPipelined(benchmark::State& state) {
   BenchClient client;
@@ -252,8 +258,11 @@ void BM_BinaryPingPipelined(benchmark::State& state) {
   state.counters["requests_per_sec"] =
       benchmark::Counter(static_cast<double>(requests),
                          benchmark::Counter::kIsRate);
+  state.counters["pipeline_depth"] = static_cast<double>(depth);
 }
-BENCHMARK(BM_BinaryPingPipelined)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BinaryPingPipelined)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_BinaryQuerySequential(benchmark::State& state) {
   BenchClient client;
@@ -269,7 +278,9 @@ void BM_BinaryQuerySequential(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BinaryQuerySequential)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BinaryQuerySequential)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_BinaryInsertSequential(benchmark::State& state) {
   BenchClient client;
@@ -287,7 +298,9 @@ void BM_BinaryInsertSequential(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BinaryInsertSequential)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BinaryInsertSequential)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_HttpQuerySequential(benchmark::State& state) {
   BenchClient client;
@@ -301,7 +314,9 @@ void BM_HttpQuerySequential(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_HttpQuerySequential)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HttpQuerySequential)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -84,8 +84,9 @@ int main() {
   QueryExecutor exec(*finds);
   std::cout << "Find #" << find_id << " corrected to element #" << corrected
             << " after radiocarbon dating.\n";
-  auto believed_then = exec.Rollback(before_correction);
-  auto believed_now = exec.Current();
+  auto believed_then =
+      exec.Execute(TemporalQuery::Rollback(before_correction)).Materialize();
+  auto believed_now = exec.Execute(TemporalQuery::Current()).Materialize();
   for (const Element& e : believed_then) {
     if (e.object_surrogate == 3) {
       std::cout << "  believed then: " << e.attributes.at(1).ToString() << " "

@@ -30,8 +30,9 @@ int main() {
   const TimePoint may1 = FromCivil(CivilDateTime{1992, 5, 1, 0, 0, 0, 0});
   QueryExecutor exec(*scenario.relation);
   QueryStats stats;
-  auto scheduled = exec.Timeslice(apr1, &stats);
-  const PlanChoice plan = exec.optimizer().PlanTimeslice(apr1);
+  const TemporalQuery on_apr1 = TemporalQuery::Timeslice(apr1);
+  const PlanChoice plan = exec.Plan(on_apr1);
+  auto scheduled = exec.Execute(on_apr1, &stats, &plan).Materialize();
   std::cout << "Deposits valid on " << apr1.ToString() << ": "
             << scheduled.size() << "\n";
   std::cout << "  strategy: " << ExecutionStrategyToString(plan.strategy) << "\n";

@@ -60,11 +60,12 @@ int main() {
   QueryExecutor exec(*scenario.relation);
   const Element& probe = scenario->elements()[scenario->size() / 2];
   QueryStats fast_stats, slow_stats;
-  auto fast = exec.Timeslice(probe.valid.at(), &fast_stats);
+  const TemporalQuery query = TemporalQuery::Timeslice(probe.valid.at());
+  const PlanChoice plan = exec.Plan(query);
+  auto fast = exec.Execute(query, &fast_stats, &plan).Materialize();
   PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
-  auto slow = exec.TimesliceWith(scan, probe.valid.at(), &slow_stats);
+  auto slow = exec.Execute(query, &slow_stats, &scan).Materialize();
 
-  const PlanChoice plan = exec.optimizer().PlanTimeslice(probe.valid.at());
   std::cout << "Timeslice at " << probe.valid.at().ToString() << ":\n";
   std::cout << "  optimized (" << ExecutionStrategyToString(plan.strategy)
             << "): " << fast.size() << " results, " << fast_stats.elements_examined

@@ -64,20 +64,23 @@ int main() {
   // -- 4. The three query classes of Section 1.
   QueryExecutor exec(*plant);
 
-  std::cout << "Current query: " << exec.Current().size()
+  std::cout << "Current query: "
+            << exec.Execute(TemporalQuery::Current()).size()
             << " facts currently believed.\n";
 
   const Element& third = plant->elements()[2];
   QueryStats stats;
-  auto slice = exec.Timeslice(third.valid.at(), &stats);
-  const PlanChoice plan = exec.optimizer().PlanTimeslice(third.valid.at());
+  const TemporalQuery timeslice = TemporalQuery::Timeslice(third.valid.at());
+  const PlanChoice plan = exec.Plan(timeslice);
+  auto slice = exec.Execute(timeslice, &stats, &plan).Materialize();
   std::cout << "Historical query (timeslice at " << third.valid.at().ToString()
             << "): " << slice.size() << " fact(s), strategy = "
             << ExecutionStrategyToString(plan.strategy) << ",\n  examined "
             << stats.elements_examined << " of " << plant->size()
             << " elements because: " << plan.rationale << "\n";
 
-  auto past = exec.Rollback(third.tt_begin);
+  auto past =
+      exec.Execute(TemporalQuery::Rollback(third.tt_begin)).Materialize();
   std::cout << "Rollback query (state as stored at " << third.tt_begin.ToString()
             << "): " << past.size() << " fact(s).\n\n";
 

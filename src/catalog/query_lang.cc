@@ -436,11 +436,29 @@ void ObserveLabeledLatency(const std::string& relation, std::string kind,
 }
 #endif  // TEMPSPEC_METRICS
 
-/// The optimizer's choice as a plan line: strategy, kernel, rationale, and
-/// the exact candidate count the executor weighs — the range's rows, which
-/// are also the valid-index probe's budget when the plan is a cost choice.
-/// Both depend only on the stored rows, so the line is deterministic.
-std::string DescribePlan(const PlanChoice& plan, size_t range_rows) {
+/// The transaction-time prefix an as-of read is cut to: the executor scans
+/// only rows stored by `tt`.
+std::string AsOfBound(TimePoint tt) { return "tt_start <= " + tt.ToString(); }
+
+/// The plan line for `query` run by `plan`. A historical query's line names
+/// the optimizer's strategy, kernel and rationale, and the exact candidate
+/// count the executor weighs — the range's rows, which are also the
+/// valid-index probe's budget when the plan is a cost choice. Both depend
+/// only on the stored rows, so the line is deterministic.
+std::string DescribePlan(const QueryExecutor& exec, const TemporalQuery& query,
+                         const PlanChoice& plan) {
+  switch (query.kind) {
+    case TemporalQuery::Kind::kCurrent:
+      return "current-state scan";
+    case TemporalQuery::Kind::kRollback:
+      return "transaction-time prefix scan [kernel " +
+             std::string(ScanKernelToToken(plan.kernel)) + "] — " +
+             AsOfBound(*query.as_of);
+    case TemporalQuery::Kind::kTimeslice:
+    case TemporalQuery::Kind::kValidRange:
+      break;
+  }
+  const size_t range_rows = exec.CandidateRows(query, plan);
   std::string line = std::string(ExecutionStrategyToString(plan.strategy)) +
                      " [kernel " + ScanKernelToToken(plan.kernel) + "] — " +
                      plan.rationale + "; candidate range " +
@@ -448,12 +466,12 @@ std::string DescribePlan(const PlanChoice& plan, size_t range_rows) {
   if (plan.choose_by_cost) {
     line += ", valid-index probe budget " + std::to_string(range_rows);
   }
+  if (query.as_of.has_value()) {
+    line += "; as of " + query.as_of->ToString() + ", " +
+            AsOfBound(*query.as_of);
+  }
   return line;
 }
-
-/// The transaction-time prefix an as-of read is cut to: the executor scans
-/// only rows stored by `tt`.
-std::string AsOfBound(TimePoint tt) { return "tt_start <= " + tt.ToString(); }
 
 }  // namespace
 
@@ -543,52 +561,29 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
   if (out.analyze) exec_options.trace = &trace;
   TS_METRICS_ONLY(if (!out.explain_only) exec_options.trace = &trace;)
 
+  // Each query verb parses into one TemporalQuery; planning, the plan line
+  // and execution are then shared.
+  std::string name;
+  TemporalQuery query;
   if (verb == "CURRENT") {
-    TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
-    TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
-    out.relation = name;
-    QueryExecutor exec(*rel, exec_options);
-    if (!out.explain_only) out.elements = exec.Current(&out.stats);
-    out.plan_description = "current-state scan";
+    TS_ASSIGN_OR_RETURN(name, cur.Identifier());
   } else if (verb == "ROLLBACK") {
-    TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
+    TS_ASSIGN_OR_RETURN(name, cur.Identifier());
     TS_RETURN_NOT_OK(cur.ExpectWord("TO"));
     TS_ASSIGN_OR_RETURN(TimePoint tt, cur.TimeLiteral());
-    TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
-    out.relation = name;
-    QueryExecutor exec(*rel, exec_options);
-    if (!out.explain_only) out.elements = exec.Rollback(tt, &out.stats);
-    out.plan_description =
-        "transaction-time prefix scan [kernel " +
-        std::string(ScanKernelToToken(ScanKernel::kExistence)) + "] — " +
-        AsOfBound(tt);
+    query = TemporalQuery::Rollback(tt);
   } else if (verb == "TIMESLICE") {
-    TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
+    TS_ASSIGN_OR_RETURN(name, cur.Identifier());
     TS_RETURN_NOT_OK(cur.ExpectWord("AT"));
     TS_ASSIGN_OR_RETURN(TimePoint vt, cur.TimeLiteral());
-    TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
-    out.relation = name;
     std::optional<TimePoint> as_of;
     if (cur.TryWord("AS")) {
       TS_RETURN_NOT_OK(cur.ExpectWord("OF"));
       TS_ASSIGN_OR_RETURN(as_of, cur.TimeLiteral());
     }
-    QueryExecutor exec(*rel, exec_options);
-    const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
-    const TimePoint vt_end = TimePoint::FromMicros(vt.micros() + 1);
-    out.plan_description =
-        DescribePlan(plan, exec.CandidateRows(plan, vt, vt_end, as_of));
-    if (as_of.has_value()) {
-      out.plan_description +=
-          "; as of " + as_of->ToString() + ", " + AsOfBound(*as_of);
-      if (!out.explain_only) {
-        out.elements = exec.TimesliceAsOfWith(plan, vt, *as_of, &out.stats);
-      }
-    } else if (!out.explain_only) {
-      out.elements = exec.TimesliceWith(plan, vt, &out.stats);
-    }
+    query = TemporalQuery::Timeslice(vt, as_of);
   } else if (verb == "RANGE") {
-    TS_ASSIGN_OR_RETURN(std::string name, cur.Identifier());
+    TS_ASSIGN_OR_RETURN(name, cur.Identifier());
     TS_RETURN_NOT_OK(cur.ExpectWord("FROM"));
     TS_ASSIGN_OR_RETURN(TimePoint lo, cur.TimeLiteral());
     TS_RETURN_NOT_OK(cur.ExpectWord("TO"));
@@ -596,22 +591,23 @@ Result<QueryOutput> ExecuteQuery(const Catalog& catalog,
     if (!(lo < hi)) {
       return Status::InvalidArgument("RANGE requires FROM < TO");
     }
-    TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
-    out.relation = name;
-    QueryExecutor exec(*rel, exec_options);
-    const PlanChoice plan = exec.optimizer().PlanValidRange(lo, hi);
-    out.plan_description =
-        DescribePlan(plan, exec.CandidateRows(plan, lo, hi, std::nullopt));
-    if (!out.explain_only) {
-      out.elements = exec.ValidRangeWith(plan, lo, hi, &out.stats);
-    }
+    query = TemporalQuery::ValidRange(lo, hi);
   } else {
     return Status::InvalidArgument(
         "unknown query verb '", verb,
         "' (expected CURRENT, TIMESLICE, RANGE, ROLLBACK, SHOW, or EXPLAIN)");
   }
-
+  TS_ASSIGN_OR_RETURN(TemporalRelation * rel, catalog.Get(name));
   TS_RETURN_NOT_OK(ExpectEnd(cur));
+  out.relation = name;
+  QueryExecutor exec(*rel, exec_options);
+  const PlanChoice plan = exec.Plan(query);
+  out.plan_description = DescribePlan(exec, query, plan);
+  if (!out.explain_only) {
+    out.elements =
+        exec.Execute(query, &out.stats, &plan).Materialize(exec.options().pool);
+  }
+
   if (out.analyze) out.trace_json = trace.ToJson();
   // Labeled per-query latency: kind is the scan-kernel token the executor
   // recorded (the per-specialization taxonomy), falling back to the verb.

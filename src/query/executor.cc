@@ -263,9 +263,22 @@ std::vector<uint64_t> QueryExecutor::DriveMorsels(size_t count,
   return out;
 }
 
+const char* TemporalQuery::SpanName() const {
+  switch (kind) {
+    case Kind::kCurrent:
+      return "query.current";
+    case Kind::kRollback:
+      return "query.rollback";
+    case Kind::kTimeslice:
+      return as_of.has_value() ? "query.timeslice_as_of" : "query.timeslice";
+    case Kind::kValidRange:
+      return "query.valid_range";
+  }
+  return "query.unknown";
+}
+
 std::pair<size_t, size_t> QueryExecutor::CandidateRange(
-    const PlanChoice& plan, TimePoint lo, TimePoint hi,
-    std::optional<TimePoint> as_of) const {
+    const TemporalQuery& query, const PlanChoice& plan) const {
   const StampColumns cols = relation_.stamps().columns();
   size_t first = 0;
   size_t last = cols.size;
@@ -291,31 +304,59 @@ std::pair<size_t, size_t> QueryExecutor::CandidateRange(
       // vt_start column (for events it stores valid.at()) for the matching
       // sub-range.
       std::tie(first, last) =
-          MonotoneBounds(cols.vt_start, cols.size, lo.micros(), hi.micros());
+          MonotoneBounds(cols.vt_start, cols.size, query.lo.micros(),
+                         query.hi.micros());
       break;
   }
-  if (as_of.has_value()) {
+  if (query.as_of.has_value()) {
     // Transaction time is append-only, so nothing stored after `as_of` can
     // exist at it: intersect the range with the believed prefix.
-    last = std::min(last, relation_.stamps().StoredBy(*as_of));
+    last = std::min(last, relation_.stamps().StoredBy(*query.as_of));
     first = std::min(first, last);
   }
   return {first, last};
 }
 
-size_t QueryExecutor::CandidateRows(const PlanChoice& plan, TimePoint lo,
-                                    TimePoint hi,
-                                    std::optional<TimePoint> as_of) const {
-  const auto [first, last] = CandidateRange(plan, lo, hi, as_of);
+size_t QueryExecutor::CandidateRows(const TemporalQuery& query,
+                                    const PlanChoice& plan) const {
+  const auto [first, last] = CandidateRange(query, plan);
   return last - first;
 }
 
-ResultSet QueryExecutor::ExecutePlan(const char* span_name,
-                                     const PlanChoice& plan, TimePoint lo,
-                                     TimePoint hi,
-                                     std::optional<TimePoint> as_of,
-                                     QueryStats* stats) const {
-  QueryScope scope(relation_, options_.trace, span_name, stats);
+PlanChoice QueryExecutor::Plan(const TemporalQuery& query) const {
+  TraceContext::StageScope plan_stage(options_.trace, "plan");
+  switch (query.kind) {
+    case TemporalQuery::Kind::kCurrent:
+    case TemporalQuery::Kind::kRollback:
+      break;
+    case TemporalQuery::Kind::kTimeslice:
+      // The optimizer's strategies bound where matches were *inserted*;
+      // logical deletion never moves an insertion, so an as-of timeslice
+      // takes the same plan with ExistsAt(as_of) as its belief filter.
+      return optimizer_.PlanTimeslice(query.lo);
+    case TemporalQuery::Kind::kValidRange:
+      return optimizer_.PlanValidRange(query.lo, query.hi);
+  }
+  // Current and rollback queries share one shape: a scan whose predicate
+  // reads only the existence columns (the existence_columnar kernel, which
+  // ignores the valid range) over every row, or over the transaction-time
+  // prefix stored by the rollback instant.
+  PlanChoice plan;
+  plan.kernel = ScanKernel::kExistence;
+  return plan;
+}
+
+ResultSet QueryExecutor::Execute(const TemporalQuery& query, QueryStats* stats,
+                                 const PlanChoice* plan_in) const {
+  if (plan_in == nullptr) {
+    const PlanChoice planned = Plan(query);
+    return Execute(query, stats, &planned);
+  }
+  const PlanChoice& plan = *plan_in;
+  const TimePoint lo = query.lo;
+  const TimePoint hi = query.hi;
+  const std::optional<TimePoint> as_of = query.as_of;
+  QueryScope scope(relation_, options_.trace, query.SpanName(), stats);
   scope.SetPlan(plan);
   stats = scope.stats();
   StatsTimer timer(stats);
@@ -336,7 +377,7 @@ ResultSet QueryExecutor::ExecutePlan(const char* span_name,
 
   // Candidates: the strategy's contiguous position range [first, last), cut
   // to the as-of prefix, or the valid-index probe's position list.
-  const auto [first, last] = CandidateRange(plan, lo, hi, as_of);
+  const auto [first, last] = CandidateRange(query, plan);
   const size_t range_rows = last - first;
   // A cost choice probes the index with the range's exact row count as its
   // budget and keeps the hits only if the probe stays within it; a
@@ -430,126 +471,6 @@ ResultSet QueryExecutor::ExecutePlan(const char* span_name,
   RecordKernel(options_.trace, kernel);
   if (stats) stats->results += positions.size();
   return ResultSet(elements, std::move(positions));
-}
-
-// -- Zero-copy interface ------------------------------------------------------
-
-ResultSet QueryExecutor::CurrentSet(QueryStats* stats) const {
-  return ExistenceScan("query.current", std::nullopt, stats);
-}
-
-ResultSet QueryExecutor::RollbackSet(TimePoint tt, QueryStats* stats) const {
-  return ExistenceScan("query.rollback", tt, stats);
-}
-
-ResultSet QueryExecutor::ExistenceScan(const char* span_name,
-                                       std::optional<TimePoint> as_of,
-                                       QueryStats* stats) const {
-  // Current and rollback queries share one shape: a scan whose predicate
-  // reads only the existence columns (no valid-time test at all) — the
-  // existence_columnar kernel, which ignores the valid range. A current
-  // query scans every row; a rollback scans only the transaction-time
-  // prefix stored by its instant (ExecutePlan's as-of bound).
-  PlanChoice plan;
-  plan.kernel = ScanKernel::kExistence;
-  return ExecutePlan(span_name, plan, TimePoint::Min(), TimePoint::Max(),
-                     as_of, stats);
-}
-
-ResultSet QueryExecutor::TimesliceSet(TimePoint vt, QueryStats* stats) const {
-  PlanChoice plan;
-  {
-    TraceContext::StageScope plan_stage(options_.trace, "plan");
-    plan = optimizer_.PlanTimeslice(vt);
-  }
-  return TimesliceSetWith(plan, vt, stats);
-}
-
-ResultSet QueryExecutor::TimesliceSetWith(const PlanChoice& plan, TimePoint vt,
-                                          QueryStats* stats) const {
-  return ExecutePlan("query.timeslice", plan, vt,
-                     TimePoint::FromMicros(vt.micros() + 1), std::nullopt,
-                     stats);
-}
-
-ResultSet QueryExecutor::ValidRangeSet(TimePoint lo, TimePoint hi,
-                                       QueryStats* stats) const {
-  PlanChoice plan;
-  {
-    TraceContext::StageScope plan_stage(options_.trace, "plan");
-    plan = optimizer_.PlanValidRange(lo, hi);
-  }
-  return ValidRangeSetWith(plan, lo, hi, stats);
-}
-
-ResultSet QueryExecutor::ValidRangeSetWith(const PlanChoice& plan, TimePoint lo,
-                                           TimePoint hi,
-                                           QueryStats* stats) const {
-  return ExecutePlan("query.valid_range", plan, lo, hi, std::nullopt, stats);
-}
-
-ResultSet QueryExecutor::TimesliceAsOfSet(TimePoint vt, TimePoint tt,
-                                          QueryStats* stats) const {
-  // The optimizer's strategies bound where matches were *inserted*; logical
-  // deletion never moves an insertion, so the same plan applies with the
-  // existence filter swapped from IsCurrent() to ExistsAt(tt).
-  PlanChoice plan;
-  {
-    TraceContext::StageScope plan_stage(options_.trace, "plan");
-    plan = optimizer_.PlanTimeslice(vt);
-  }
-  return TimesliceAsOfSetWith(plan, vt, tt, stats);
-}
-
-ResultSet QueryExecutor::TimesliceAsOfSetWith(const PlanChoice& plan,
-                                              TimePoint vt, TimePoint tt,
-                                              QueryStats* stats) const {
-  return ExecutePlan("query.timeslice_as_of", plan, vt,
-                     TimePoint::FromMicros(vt.micros() + 1), tt, stats);
-}
-
-// -- Materializing adapters ---------------------------------------------------
-
-std::vector<Element> QueryExecutor::Current(QueryStats* stats) const {
-  return CurrentSet(stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::Rollback(TimePoint tt,
-                                             QueryStats* stats) const {
-  return RollbackSet(tt, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::Timeslice(TimePoint vt,
-                                              QueryStats* stats) const {
-  return TimesliceSet(vt, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::TimesliceWith(const PlanChoice& plan,
-                                                  TimePoint vt,
-                                                  QueryStats* stats) const {
-  return TimesliceSetWith(plan, vt, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::ValidRange(TimePoint lo, TimePoint hi,
-                                               QueryStats* stats) const {
-  return ValidRangeSet(lo, hi, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::ValidRangeWith(const PlanChoice& plan,
-                                                   TimePoint lo, TimePoint hi,
-                                                   QueryStats* stats) const {
-  return ValidRangeSetWith(plan, lo, hi, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::TimesliceAsOf(TimePoint vt, TimePoint tt,
-                                                  QueryStats* stats) const {
-  return TimesliceAsOfSet(vt, tt, stats).Materialize(options_.pool);
-}
-
-std::vector<Element> QueryExecutor::TimesliceAsOfWith(const PlanChoice& plan,
-                                                      TimePoint vt, TimePoint tt,
-                                                      QueryStats* stats) const {
-  return TimesliceAsOfSetWith(plan, vt, tt, stats).Materialize(options_.pool);
 }
 
 }  // namespace tempspec

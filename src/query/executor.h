@@ -2,9 +2,11 @@
 //
 // Section 1 distinguishes (1) current queries, (2) historical queries (facts
 // about the modeled reality — timeslice / valid-time range), and (3)
-// rollback queries (the database as stored at a past transaction time). All
-// timeslice strategies are interchangeable: they return the same result set;
-// only the number of elements examined differs (QueryStats).
+// rollback queries (the database as stored at a past transaction time). A
+// TemporalQuery names one of them; Plan() chooses its strategy and Execute()
+// runs it. All timeslice strategies are interchangeable: they return the
+// same result set; only the number of elements examined differs
+// (QueryStats).
 //
 // Execution engine: one scan path. Every strategy reduces its query to a
 // contiguous candidate range — the whole store, a transaction-time window
@@ -26,9 +28,8 @@
 // candidate count worth the dispatch cost; matches are collected per-morsel
 // and concatenated in morsel order, so parallel and serial execution return
 // byte-identical, position-ordered results. Results are zero-copy
-// ResultSets (positions into relation.elements()); the std::vector<Element>
-// signatures below are thin materializing adapters kept for existing
-// callers.
+// ResultSets (positions into relation.elements()); callers that need rows
+// call ResultSet::Materialize().
 #ifndef TEMPSPEC_QUERY_EXECUTOR_H_
 #define TEMPSPEC_QUERY_EXECUTOR_H_
 
@@ -44,6 +45,39 @@
 #include "util/thread_pool.h"
 
 namespace tempspec {
+
+/// \brief One query of Section 1's three classes: a current query, a
+/// rollback to transaction time `as_of`, or a historical query over the
+/// valid range [lo, hi) — a timeslice is the one-microsecond range at its
+/// instant — read as currently believed or, with `as_of`, as believed at
+/// that transaction time. Results are elements as finally stored: a row
+/// logically deleted after `as_of` keeps its closed tt_end.
+struct TemporalQuery {
+  enum class Kind : uint8_t { kCurrent, kRollback, kTimeslice, kValidRange };
+
+  static TemporalQuery Current() { return {}; }
+  static TemporalQuery Rollback(TimePoint tt) {
+    return {Kind::kRollback, TimePoint::Min(), TimePoint::Max(), tt};
+  }
+  static TemporalQuery Timeslice(
+      TimePoint vt, std::optional<TimePoint> as_of = std::nullopt) {
+    return {Kind::kTimeslice, vt, TimePoint::FromMicros(vt.micros() + 1),
+            as_of};
+  }
+  static TemporalQuery ValidRange(TimePoint lo, TimePoint hi) {
+    return {Kind::kValidRange, lo, hi, std::nullopt};
+  }
+
+  /// \brief The span (and executor.<span> counter) this query runs as:
+  /// query.current, query.rollback, query.timeslice, query.timeslice_as_of
+  /// or query.valid_range.
+  const char* SpanName() const;
+
+  Kind kind = Kind::kCurrent;
+  TimePoint lo = TimePoint::Min();
+  TimePoint hi = TimePoint::Max();
+  std::optional<TimePoint> as_of;
+};
 
 /// \brief Execution knobs for one executor.
 struct ExecutorOptions {
@@ -79,96 +113,52 @@ class QueryExecutor {
   const Optimizer& optimizer() const { return optimizer_; }
   const ExecutorOptions& options() const { return options_; }
 
-  // -- Zero-copy interface ---------------------------------------------------
-  // ResultSets view relation.elements(); they are invalidated by any
-  // mutation of the relation.
+  /// \brief Chooses how `query` runs, timed as the trace's `plan` stage:
+  /// the optimizer's plan for a timeslice or valid range, the
+  /// existence-only scan for a current or rollback query.
+  PlanChoice Plan(const TemporalQuery& query) const;
 
-  /// \brief Current query: the present state of the relation.
-  ResultSet CurrentSet(QueryStats* stats = nullptr) const;
+  /// \brief Runs `query` as span query.SpanName() and adds its counters to
+  /// `*stats`. Runs `*plan` when given (a plan from Plan(query), or a
+  /// hand-built one that runs exactly its strategy, for baselines and
+  /// differential tests); otherwise plans the query first. The ResultSet
+  /// views relation.elements() and is invalidated by any mutation of the
+  /// relation; Materialize() copies the rows out.
+  ResultSet Execute(const TemporalQuery& query, QueryStats* stats = nullptr,
+                    const PlanChoice* plan = nullptr) const;
 
-  /// \brief Rollback query as a position view: elements whose existence
-  /// interval contains `tt`, as finally stored (a logically deleted element
-  /// appears with its closed tt_end — positions cannot re-open stamps).
-  /// Scans only the transaction-time prefix stored by `tt`.
-  ResultSet RollbackSet(TimePoint tt, QueryStats* stats = nullptr) const;
+  /// \brief Exact row count W of `plan`'s candidate range for `query`, cut
+  /// to the prefix stored by its as-of instant when it has one: what a range
+  /// scan examines, and a cost choice's probe budget.
+  size_t CandidateRows(const TemporalQuery& query,
+                       const PlanChoice& plan) const;
 
-  /// \brief Historical (timeslice) query: current-belief facts valid at
-  /// `vt`. Strategy chosen by the optimizer.
-  ResultSet TimesliceSet(TimePoint vt, QueryStats* stats = nullptr) const;
-
-  /// \brief Timeslice with an explicit plan (for baseline measurements).
-  ResultSet TimesliceSetWith(const PlanChoice& plan, TimePoint vt,
-                             QueryStats* stats = nullptr) const;
-
-  /// \brief Facts whose valid time intersects [lo, hi), current belief.
-  ResultSet ValidRangeSet(TimePoint lo, TimePoint hi,
-                          QueryStats* stats = nullptr) const;
-  ResultSet ValidRangeSetWith(const PlanChoice& plan, TimePoint lo, TimePoint hi,
-                              QueryStats* stats = nullptr) const;
-
-  /// \brief Bitemporal query: facts valid at `vt` as believed at transaction
-  /// time `tt`. Planned like a timeslice (the optimizer's strategies bound
-  /// *insertion* times, which deletion never moves), with the existence
-  /// filter ExistsAt(tt) applied on top of the chosen strategy, whose
-  /// candidates are cut to the prefix stored by `tt`.
+  // -- Used only by the in-process replay of `tsbench --trace 1`
+  // (perfbench/bench.cc), which ROADMAP.md item 3 deletes together with
+  // these forwarders. Nothing else may call them.
+  ResultSet CurrentSet(QueryStats* stats = nullptr) const {
+    return Execute(TemporalQuery::Current(), stats);
+  }
+  ResultSet RollbackSet(TimePoint tt, QueryStats* stats = nullptr) const {
+    return Execute(TemporalQuery::Rollback(tt), stats);
+  }
+  ResultSet TimesliceSet(TimePoint vt, QueryStats* stats = nullptr) const {
+    return Execute(TemporalQuery::Timeslice(vt), stats);
+  }
   ResultSet TimesliceAsOfSet(TimePoint vt, TimePoint tt,
-                             QueryStats* stats = nullptr) const;
-  ResultSet TimesliceAsOfSetWith(const PlanChoice& plan, TimePoint vt,
-                                 TimePoint tt,
-                                 QueryStats* stats = nullptr) const;
-
-  /// \brief Exact row count W of `plan`'s candidate range over the valid
-  /// range [lo, hi), cut to the prefix stored by `*as_of` when set: what a
-  /// range scan examines, and a cost choice's probe budget.
-  size_t CandidateRows(const PlanChoice& plan, TimePoint lo, TimePoint hi,
-                       std::optional<TimePoint> as_of) const;
-
-  // -- Materializing adapters (pre-ResultSet signatures) ---------------------
-
-  std::vector<Element> Current(QueryStats* stats = nullptr) const;
-
-  /// \brief Rollback query: the state as stored at transaction time `tt`,
-  /// materialized from RollbackSet (the transaction-time prefix scan), so
-  /// elements come in position order with their final tt_end.
-  std::vector<Element> Rollback(TimePoint tt, QueryStats* stats = nullptr) const;
-
-  std::vector<Element> Timeslice(TimePoint vt, QueryStats* stats = nullptr) const;
-  std::vector<Element> TimesliceWith(const PlanChoice& plan, TimePoint vt,
-                                     QueryStats* stats = nullptr) const;
-  std::vector<Element> ValidRange(TimePoint lo, TimePoint hi,
-                                  QueryStats* stats = nullptr) const;
-  std::vector<Element> ValidRangeWith(const PlanChoice& plan, TimePoint lo,
-                                      TimePoint hi,
-                                      QueryStats* stats = nullptr) const;
-  std::vector<Element> TimesliceAsOf(TimePoint vt, TimePoint tt,
-                                     QueryStats* stats = nullptr) const;
-  std::vector<Element> TimesliceAsOfWith(const PlanChoice& plan, TimePoint vt,
-                                         TimePoint tt,
-                                         QueryStats* stats = nullptr) const;
+                             QueryStats* stats = nullptr) const {
+    return Execute(TemporalQuery::Timeslice(vt, tt), stats);
+  }
+  ResultSet ValidRangeSet(TimePoint lo, TimePoint hi,
+                          QueryStats* stats = nullptr) const {
+    return Execute(TemporalQuery::ValidRange(lo, hi), stats);
+  }
 
  private:
   /// \brief The candidate position range [first, last) of `plan` (see
   /// CandidateRows).
-  std::pair<size_t, size_t> CandidateRange(const PlanChoice& plan,
-                                           TimePoint lo, TimePoint hi,
-                                           std::optional<TimePoint> as_of) const;
-
-  /// \brief Shared core: executes `plan` over the valid range [lo, hi) as
-  /// span `span_name`, filtering by current belief (as_of empty) or by
-  /// existence at `*as_of`. Chooses the candidate source (see the file
-  /// comment), records the path that ran as the span's and the registry's
-  /// strategy, and drives the scan.
-  ResultSet ExecutePlan(const char* span_name, const PlanChoice& plan,
-                        TimePoint lo, TimePoint hi,
-                        std::optional<TimePoint> as_of,
-                        QueryStats* stats) const;
-
-  /// \brief Shared core of CurrentSet/RollbackSet: ExecutePlan's full scan
-  /// with the existence-only predicate (the existence_columnar kernel); an
-  /// empty `as_of` selects current belief, a set one bounds the scan to the
-  /// transaction-time prefix (strategy token "transaction_prefix").
-  ResultSet ExistenceScan(const char* span_name, std::optional<TimePoint> as_of,
-                          QueryStats* stats) const;
+  std::pair<size_t, size_t> CandidateRange(const TemporalQuery& query,
+                                           const PlanChoice& plan) const;
 
   /// \brief The one scan driver: runs `scan(begin, end, out)` over the
   /// candidate indexes [0, count), where `scan` appends the matching

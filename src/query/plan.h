@@ -95,9 +95,7 @@ struct PlanChoice {
 /// `wall_micros` is elapsed time observed by the caller, while `cpu_micros`
 /// sums the time each morsel spent scanning across all workers. Serially
 /// cpu <= wall (the scan is one slice of the elapsed time); under
-/// parallelism cpu typically exceeds wall — that gap IS the speedup. The
-/// former `elapsed_micros` field conflated the two under Merge(), adding
-/// per-worker durations into a field documented as wall-clock.
+/// parallelism cpu typically exceeds wall — that gap IS the speedup.
 struct QueryStats {
   uint64_t elements_examined = 0;
   uint64_t index_probes = 0;

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 namespace tempspec {
 
@@ -129,20 +128,53 @@ int64_t WholeMonthsBetween(TimePoint from, TimePoint to) {
 }
 
 Result<TimePoint> ParseTimePoint(const std::string& text) {
+  // The whole text must be "[-]Y-M-D[ h:m[:s[.fraction]]]" with every field
+  // plain decimal digits: no signs inside fields, no trailing text.
+  size_t pos = 0;
+  const auto take = [&](char c) {
+    if (pos >= text.size() || text[pos] != c) return false;
+    ++pos;
+    return true;
+  };
+  const auto at_digit = [&] {
+    return pos < text.size() && text[pos] >= '0' && text[pos] <= '9';
+  };
+  const auto number = [&](int32_t* out) {
+    if (!at_digit()) return false;
+    int64_t value = 0;
+    while (at_digit()) {
+      value = value * 10 + (text[pos++] - '0');
+      if (value > INT32_MAX) return false;
+    }
+    *out = static_cast<int32_t>(value);
+    return true;
+  };
   CivilDateTime c;
-  int micro = 0;
-  char frac[16] = {0};
-  int n = std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d.%9s", &c.year, &c.month,
-                      &c.day, &c.hour, &c.minute, &c.second, frac);
-  if (n < 3) {
+  const bool negative_year = take('-');
+  bool ok = number(&c.year) && take('-') && number(&c.month) && take('-') &&
+            number(&c.day);
+  if (ok && take(' ')) {
+    ok = number(&c.hour) && take(':') && number(&c.minute);
+    if (ok && take(':')) {
+      ok = number(&c.second);
+      if (ok && take('.')) {
+        // Microseconds: the fraction's first six digits, right-padded.
+        int places = 0;
+        for (; at_digit(); ++pos) {
+          if (places < 6) {
+            c.micro = c.micro * 10 + (text[pos] - '0');
+            ++places;
+          }
+        }
+        ok = places > 0;
+        for (; places < 6; ++places) c.micro *= 10;
+      }
+    }
+  }
+  if (!ok || pos != text.size()) {
     return Status::InvalidArgument("cannot parse time point: '", text, "'");
   }
-  if (n >= 7) {
-    // Right-pad the fractional field to microseconds.
-    char padded[7] = {'0', '0', '0', '0', '0', '0', 0};
-    for (int i = 0; i < 6 && frac[i] != 0; ++i) padded[i] = frac[i];
-    micro = std::atoi(padded);
-  }
+  if (negative_year) c.year = -c.year;
   if (c.month < 1 || c.month > 12) {
     return Status::InvalidArgument("month out of range in '", text, "'");
   }
@@ -153,7 +185,6 @@ Result<TimePoint> ParseTimePoint(const std::string& text) {
       c.second > 59) {
     return Status::InvalidArgument("time of day out of range in '", text, "'");
   }
-  c.micro = micro;
   int64_t micros = 0;
   if (!CivilMicros(c, &micros)) {
     return Status::InvalidArgument("year out of range in '", text, "'");

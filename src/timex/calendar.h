@@ -56,7 +56,9 @@ TimePoint AddMonths(TimePoint tp, int64_t months);
 /// notion used when checking calendric bounds.
 int64_t WholeMonthsBetween(TimePoint from, TimePoint to);
 
-/// \brief Parses "YYYY-MM-DD[ HH:MM[:SS[.ffffff]]]" (UTC).
+/// \brief Parses "YYYY-MM-DD[ HH:MM[:SS[.ffffff]]]" (UTC; a leading "-"
+/// negates the year). Every field is decimal digits, the fraction
+/// keeps its first six digits, and any other text is InvalidArgument.
 Result<TimePoint> ParseTimePoint(const std::string& text);
 
 /// \brief Formats as "YYYY-MM-DD HH:MM:SS.ffffff".

@@ -59,6 +59,33 @@ TEST(CatalogTest, CreateFromDdl) {
   EXPECT_EQ(catalog.RelationNames().size(), 1u);
 }
 
+TEST(CatalogTest, CreateFromDdlDegenerateRegularFeed) {
+  // A plant feed declared in DDL: degenerate and strictly regular every 10s.
+  // Samples stamped on the 10s clock satisfy both; the advice and plan
+  // follow the degenerate declaration.
+  Catalog catalog;
+  auto clock = std::make_shared<LogicalClock>(T(0), Duration::Seconds(10));
+  RelationOptions base;
+  base.clock = clock;
+  ASSERT_OK_AND_ASSIGN(
+      TemporalRelation * feed,
+      catalog.CreateRelationFromDdl(
+          "CREATE EVENT RELATION feed (sensor INT64 KEY, kelvin DOUBLE) "
+          "GRANULARITY 1s WITH DEGENERATE, STRICT TEMPORAL REGULAR 10s",
+          base));
+  ASSERT_EQ(feed->specializations().regularities().size(), 1u);
+  EXPECT_TRUE(feed->specializations().regularities()[0].strict());
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_OK(feed->InsertEvent(i % 3 + 1, clock->Peek(),
+                                Tuple{int64_t{i % 3 + 1}, 300.0 + i % 7})
+                  .status());
+  }
+  EXPECT_EQ(feed->size(), 120u);
+  EXPECT_OK(feed->CheckExtension());
+  ASSERT_OK_AND_ASSIGN(AdvisorReport advice, catalog.AdviseFor("feed"));
+  EXPECT_EQ(advice.timeslice_strategy, ExecutionStrategy::kRollbackEquivalence);
+}
+
 TEST(CatalogTest, CreateValidatesDeclaration) {
   Catalog catalog;
   SpecializationSet bad;

@@ -193,6 +193,25 @@ TEST_F(QueryLangTest, ExplainWindowSaturatesAtTheEndOfTime) {
   EXPECT_TRUE(run.elements.empty());
 }
 
+TEST_F(QueryLangTest, ExplainAnalyzeRecordsThePlanStageBeforeTheScan) {
+  // Statements plan inside the executor's `plan` stage, like direct
+  // executor calls: EXPLAIN ANALYZE (and the server's traces) show planning
+  // time for every historical query.
+  for (const char* statement :
+       {"EXPLAIN ANALYZE TIMESLICE samples AT '1992-02-03 10:20:00'",
+        "EXPLAIN ANALYZE TIMESLICE samples AT '1992-02-03 10:20:00' "
+        "AS OF '1992-02-03 10:30:00'",
+        "EXPLAIN ANALYZE RANGE samples FROM '1992-02-03 10:00:00' "
+        "TO '1992-02-03 11:00:00'"}) {
+    ASSERT_OK_AND_ASSIGN(QueryOutput out, ExecuteQuery(catalog_, statement));
+    const size_t plan = out.trace_json.find("{\"name\":\"plan\"");
+    const size_t scan = out.trace_json.find("{\"name\":\"scan\"");
+    ASSERT_NE(plan, std::string::npos) << statement << " -> " << out.trace_json;
+    ASSERT_NE(scan, std::string::npos) << statement << " -> " << out.trace_json;
+    EXPECT_LT(plan, scan) << out.trace_json;
+  }
+}
+
 TEST_F(QueryLangTest, ShowSlowQueries) {
   SlowQueryLog& log = SlowQueryLog::Instance();
   log.Clear();
@@ -317,6 +336,34 @@ TEST_F(QueryLangTest, InsertEventStatement) {
   ASSERT_OK_AND_ASSIGN(QueryOutput current,
                        ExecuteQuery(catalog_, "CURRENT samples"));
   EXPECT_EQ(current.elements.size(), 12u);  // 11 from SetUp + this one
+}
+
+TEST_F(QueryLangTest, MalformedTimeLiteralFailsAnInsertBeforeItIsApplied) {
+  // Time literals arrive from the network: a signed or non-numeric fraction,
+  // or trailing text, must fail the write, not be read as some other
+  // instant (such as '.-5' as 0.05 s before midnight).
+  RelationOptions base;
+  base.clock = clock_;
+  ASSERT_OK(catalog_
+                .CreateRelationFromDdl(
+                    "CREATE EVENT RELATION readings (id INT64 KEY, v DOUBLE)",
+                    base)
+                .status());
+  for (const char* literal :
+       {"'2020-01-01 00:00:00.-5'", "'2020-01-01 00:00:00.xyz'",
+        "'2020-01-01 garbage'"}) {
+    const Result<QueryOutput> written = ExecuteQuery(
+        catalog_, std::string("INSERT INTO readings OBJECT 1 VALUES (1, 1.0) "
+                              "VALID AT ") +
+                      literal);
+    EXPECT_TRUE(written.status().IsInvalidArgument())
+        << literal << ": " << written.status().ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(QueryOutput current,
+                       ExecuteQuery(catalog_, "CURRENT readings"));
+  EXPECT_TRUE(current.elements.empty());
+  ASSERT_OK_AND_ASSIGN(TemporalRelation * readings, catalog_.Get("readings"));
+  EXPECT_EQ(readings->size(), 0u);
 }
 
 TEST_F(QueryLangTest, InsertValueTypesRoundTrip) {

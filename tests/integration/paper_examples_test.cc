@@ -269,9 +269,11 @@ TEST(PaperExamples, Section4DegenerateRollbackEqualsTimeslice) {
     const Element& probe = rel->elements()[i];
     // The facts valid at vt are exactly the facts stored at vt... visible in
     // the rollback state at that stamp.
-    const auto slice = exec.Timeslice(probe.valid.at());
+    const ResultSet slice =
+        exec.Execute(TemporalQuery::Timeslice(probe.valid.at()));
     ASSERT_EQ(slice.size(), 1u);
-    const auto state = exec.Rollback(probe.tt_begin);
+    const ResultSet state =
+        exec.Execute(TemporalQuery::Rollback(probe.tt_begin));
     EXPECT_EQ(state.size(), i + 1);  // append-only growth
     EXPECT_EQ(slice[0].element_surrogate, probe.element_surrogate);
   }

@@ -26,8 +26,9 @@ void CheckStrategyEquivalence(TemporalRelation* rel, size_t stride) {
     const Element& probe = rel->elements()[i];
     const TimePoint vt = probe.valid.is_event() ? probe.valid.at()
                                                 : probe.valid.begin();
-    const auto fast = exec.Timeslice(vt);
-    const auto slow = exec.TimesliceWith(scan, vt);
+    const TemporalQuery timeslice = TemporalQuery::Timeslice(vt);
+    const ResultSet fast = exec.Execute(timeslice);
+    const ResultSet slow = exec.Execute(timeslice, nullptr, &scan);
     ASSERT_EQ(fast.size(), slow.size()) << "probe " << i;
   }
 }
@@ -61,7 +62,7 @@ TEST(StressTest, DegenerateAtScaleRollback) {
     for (const Element& e : scenario->elements()) {
       if (e.ExistsAt(tt)) ++expected;
     }
-    EXPECT_EQ(exec.Rollback(tt).size(), expected);
+    EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(tt)).size(), expected);
   }
 }
 

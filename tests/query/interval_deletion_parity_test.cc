@@ -1,5 +1,5 @@
-// Differential test: zero-copy ResultSet paths vs materializing adapters vs
-// a brute-force reference, on an *interval* relation under logical deletions
+// Differential test: every executor path, serial and morsel-parallel, vs a
+// brute-force reference, on an *interval* relation under logical deletions
 // and modifications. The deletion-heavy history matters: every query path
 // must apply the IsCurrent() belief filter identically, and interval overlap
 // (begin <= vt < end) has edge cases an event relation never exercises.
@@ -21,13 +21,6 @@ namespace tempspec {
 namespace {
 
 using testing::T;
-
-bool SameElement(const Element& a, const Element& b) {
-  return a.element_surrogate == b.element_surrogate &&
-         a.object_surrogate == b.object_surrogate && a.tt_begin == b.tt_begin &&
-         a.tt_end == b.tt_end && a.valid == b.valid &&
-         a.attributes == b.attributes;
-}
 
 // An interval relation whose history is ~55% inserts, ~30% deletes, ~15%
 // modifications, leaving plenty of logically-deleted elements interleaved
@@ -100,18 +93,6 @@ std::vector<uint64_t> BruteValidRange(const TemporalRelation& rel, TimePoint lo,
   return out;
 }
 
-void ExpectSetMatchesAdapter(const QueryExecutor& exec, const ResultSet& set,
-                             const std::vector<Element>& adapter,
-                             const char* what) {
-  (void)exec;
-  const std::vector<Element> materialized = set.Materialize();
-  ASSERT_EQ(materialized.size(), adapter.size()) << what;
-  for (size_t i = 0; i < adapter.size(); ++i) {
-    ASSERT_TRUE(SameElement(materialized[i], adapter[i])) << what << " #" << i;
-    ASSERT_TRUE(SameElement(set[i], adapter[i])) << what << " view #" << i;
-  }
-}
-
 TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
   auto rel = BuildDeletionHeavyIntervalRelation(4242, 1400);
   size_t deleted = 0;
@@ -163,6 +144,7 @@ TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
         successor.valid.begin()};
     for (const TimePoint vt : points) {
       SCOPED_TRACE("vt=" + vt.ToString());
+      const TemporalQuery timeslice = TemporalQuery::Timeslice(vt);
       const std::vector<uint64_t> brute = BruteTimeslice(*rel, vt);
       const std::vector<uint64_t> brute_from =
           BruteTimeslice(*rel, vt, from_shared.tt_window);
@@ -175,7 +157,7 @@ TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
               {PlanChoice{ExecutionStrategy::kValidIndex, TimeInterval::All(),
                           ""},
                &brute},
-              {serial.optimizer().PlanTimeslice(vt), &brute},
+              {serial.Plan(timeslice), &brute},
               {from_shared, &brute_from},
               {from_shared_generic, &brute_from},
               {until_shared, &brute_until},
@@ -186,39 +168,32 @@ TEST(IntervalDeletionParityTest, AllPathsAgreeUnderDeletions) {
             std::string(ExecutionStrategyToString(plan.strategy)) + " tt " +
             plan.tt_window.ToString() + " kernel " +
             ScanKernelToToken(plan.kernel);
-        const ResultSet s = serial.TimesliceSetWith(plan, vt);
-        const ResultSet p = tiny.TimesliceSetWith(plan, vt);
-        ASSERT_EQ(s.positions(), *expected) << what;
-        ASSERT_EQ(p.positions(), *expected) << what;
-        ExpectSetMatchesAdapter(serial, s, serial.TimesliceWith(plan, vt),
-                                what.c_str());
-        ExpectSetMatchesAdapter(tiny, p, tiny.TimesliceWith(plan, vt),
-                                what.c_str());
+        ASSERT_EQ(serial.Execute(timeslice, nullptr, &plan).positions(),
+                  *expected)
+            << what;
+        ASSERT_EQ(tiny.Execute(timeslice, nullptr, &plan).positions(),
+                  *expected)
+            << what;
       }
       // Planner-chosen paths end to end.
-      ASSERT_EQ(serial.TimesliceSet(vt).positions(), brute);
-      ASSERT_EQ(tiny.TimesliceSet(vt).positions(), brute);
-      ExpectSetMatchesAdapter(serial, serial.TimesliceSet(vt),
-                              serial.Timeslice(vt), "planned");
+      ASSERT_EQ(serial.Execute(timeslice).positions(), brute);
+      ASSERT_EQ(tiny.Execute(timeslice).positions(), brute);
     }
 
     const TimePoint lo = probe.valid.begin();
     const TimePoint hi = probe.valid.end() + Duration::Seconds(rng.Uniform(0, 500));
     SCOPED_TRACE("range=[" + lo.ToString() + "," + hi.ToString() + ")");
     const std::vector<uint64_t> brute_range = BruteValidRange(*rel, lo, hi);
-    ASSERT_EQ(serial.ValidRangeSet(lo, hi).positions(), brute_range);
-    ASSERT_EQ(tiny.ValidRangeSet(lo, hi).positions(), brute_range);
-    ExpectSetMatchesAdapter(serial, serial.ValidRangeSet(lo, hi),
-                            serial.ValidRange(lo, hi), "valid-range");
-    ExpectSetMatchesAdapter(tiny, tiny.ValidRangeSet(lo, hi),
-                            tiny.ValidRange(lo, hi), "valid-range-parallel");
+    const TemporalQuery range = TemporalQuery::ValidRange(lo, hi);
+    ASSERT_EQ(serial.Execute(range).positions(), brute_range);
+    ASSERT_EQ(tiny.Execute(range).positions(), brute_range);
   }
 
   // Current state: the belief filter alone, against a manual count.
   size_t current = 0;
   for (const Element& e : rel->elements()) current += e.IsCurrent() ? 1 : 0;
-  ASSERT_EQ(serial.CurrentSet().size(), current);
-  ASSERT_EQ(tiny.CurrentSet().size(), current);
+  ASSERT_EQ(serial.Execute(TemporalQuery::Current()).size(), current);
+  ASSERT_EQ(tiny.Execute(TemporalQuery::Current()).size(), current);
 }
 
 }  // namespace

@@ -66,26 +66,33 @@ void CheckAllStrategiesAtPoint(ExecutorTriple& exec, TimePoint vt,
   std::vector<PlanChoice> plans = {
       PlanChoice{ExecutionStrategy::kFullScan, TimeInterval::All(), ""},
       PlanChoice{ExecutionStrategy::kValidIndex, TimeInterval::All(), ""},
-      exec.serial.optimizer().PlanTimeslice(vt),
+      exec.serial.Plan(TemporalQuery::Timeslice(vt)),
   };
+  const TemporalQuery timeslice = TemporalQuery::Timeslice(vt);
+  const TemporalQuery range = TemporalQuery::ValidRange(vt, range_hi);
   for (const PlanChoice& plan : plans) {
     const char* what = ExecutionStrategyToString(plan.strategy);
-    ExpectIdentical(exec.serial.TimesliceSetWith(plan, vt),
-                    exec.tiny_morsels.TimesliceSetWith(plan, vt), what);
-    ExpectIdentical(exec.serial.TimesliceSetWith(plan, vt),
-                    exec.defaults.TimesliceSetWith(plan, vt), what);
-    ExpectIdentical(exec.serial.ValidRangeSetWith(plan, vt, range_hi),
-                    exec.tiny_morsels.ValidRangeSetWith(plan, vt, range_hi),
-                    what);
+    ExpectIdentical(exec.serial.Execute(timeslice, nullptr, &plan),
+                    exec.tiny_morsels.Execute(timeslice, nullptr, &plan), what);
+    ExpectIdentical(exec.serial.Execute(timeslice, nullptr, &plan),
+                    exec.defaults.Execute(timeslice, nullptr, &plan), what);
+    ExpectIdentical(exec.serial.Execute(range, nullptr, &plan),
+                    exec.tiny_morsels.Execute(range, nullptr, &plan), what);
   }
-  ExpectIdentical(exec.serial.TimesliceSet(vt),
-                  exec.tiny_morsels.TimesliceSet(vt), "planned timeslice");
-  ExpectIdentical(exec.serial.CurrentSet(), exec.tiny_morsels.CurrentSet(),
-                  "current");
-  ExpectIdentical(exec.serial.RollbackSet(as_of),
-                  exec.tiny_morsels.RollbackSet(as_of), "rollback");
-  ExpectIdentical(exec.serial.TimesliceAsOfSet(vt, as_of),
-                  exec.tiny_morsels.TimesliceAsOfSet(vt, as_of), "as-of");
+  // Planned queries of every class.
+  const struct {
+    TemporalQuery query;
+    const char* what;
+  } planned[] = {
+      {timeslice, "planned timeslice"},
+      {TemporalQuery::Current(), "current"},
+      {TemporalQuery::Rollback(as_of), "rollback"},
+      {TemporalQuery::Timeslice(vt, as_of), "as-of"},
+  };
+  for (const auto& [query, what] : planned) {
+    ExpectIdentical(exec.serial.Execute(query),
+                    exec.tiny_morsels.Execute(query), what);
+  }
 }
 
 TEST(ParallelParityTest, EventRelationBandedStrategies) {
@@ -196,21 +203,23 @@ TEST(ParallelParityTest, ColumnarBitmapMorselPathMatchesSerial) {
   for (int trial = 0; trial < 16; ++trial) {
     const TimePoint lo = T(rng.Uniform(0, 3000));
     const TimePoint hi = lo + Duration::Seconds(rng.Uniform(1, 400));
-    ExpectIdentical(exec.serial.ValidRangeSetWith(generic, lo, hi),
-                    exec.tiny_morsels.ValidRangeSetWith(generic, lo, hi),
+    const TemporalQuery range = TemporalQuery::ValidRange(lo, hi);
+    ExpectIdentical(exec.serial.Execute(range, nullptr, &generic),
+                    exec.tiny_morsels.Execute(range, nullptr, &generic),
                     "generic_columnar bitmap morsels");
-    ExpectIdentical(exec.serial.ValidRangeSetWith(generic, lo, hi),
-                    exec.defaults.ValidRangeSetWith(generic, lo, hi),
+    ExpectIdentical(exec.serial.Execute(range, nullptr, &generic),
+                    exec.defaults.Execute(range, nullptr, &generic),
                     "generic_columnar default morsels");
-    ExpectIdentical(exec.serial.ValidRangeSet(lo, hi),
-                    exec.tiny_morsels.ValidRangeSet(lo, hi),
+    ExpectIdentical(exec.serial.Execute(range),
+                    exec.tiny_morsels.Execute(range),
                     "degenerate_columnar bitmap morsels");
-    ExpectIdentical(exec.serial.CurrentSet(), exec.tiny_morsels.CurrentSet(),
+    ExpectIdentical(exec.serial.Execute(TemporalQuery::Current()),
+                    exec.tiny_morsels.Execute(TemporalQuery::Current()),
                     "existence_columnar bitmap morsels");
   }
 }
 
-TEST(ParallelParityTest, MaterializeAdaptersMatchSets) {
+TEST(ParallelParityTest, ParallelMaterializeMatchesSerial) {
   WorkloadConfig config;
   config.num_objects = 8;
   config.ops_per_object = 128;
@@ -223,21 +232,22 @@ TEST(ParallelParityTest, MaterializeAdaptersMatchSets) {
                                      .morsel_size = 37,
                                      .parallel_cutoff = 1});
   const TimePoint vt = scenario->elements()[100].valid.begin();
-  const auto via_adapter = exec.Timeslice(vt);
-  const auto via_set = exec.TimesliceSet(vt).Materialize();
-  ASSERT_EQ(via_adapter.size(), via_set.size());
-  for (size_t i = 0; i < via_adapter.size(); ++i) {
-    ASSERT_TRUE(SameElement(via_adapter[i], via_set[i]));
+  const ResultSet set = exec.Execute(TemporalQuery::Timeslice(vt));
+  const auto with_pool = set.Materialize(&pool);
+  const auto serial = set.Materialize();
+  ASSERT_EQ(with_pool.size(), serial.size());
+  for (size_t i = 0; i < with_pool.size(); ++i) {
+    ASSERT_TRUE(SameElement(with_pool[i], serial[i]));
   }
-  // Zero-copy views index the same elements the adapter copied.
-  const ResultSet set = exec.TimesliceSet(vt);
+  // Zero-copy views index the same elements Materialize copied.
   for (size_t i = 0; i < set.size(); ++i) {
-    ASSERT_TRUE(SameElement(set[i], via_adapter[i]));
+    ASSERT_TRUE(SameElement(set[i], with_pool[i]));
   }
-  // Rollback materializes with the executor's pool; the set view, serially.
+  // Rollback materialized with the executor's pool and serially.
   const TimePoint tt = scenario->elements()[scenario->size() / 2].tt_begin;
-  const auto rolled_back = exec.Rollback(tt);
-  const auto rolled_back_set = exec.RollbackSet(tt).Materialize();
+  const ResultSet rollback = exec.Execute(TemporalQuery::Rollback(tt));
+  const auto rolled_back = rollback.Materialize(&pool);
+  const auto rolled_back_set = rollback.Materialize();
   ASSERT_FALSE(rolled_back.empty());
   ASSERT_EQ(rolled_back.size(), rolled_back_set.size());
   for (size_t i = 0; i < rolled_back.size(); ++i) {
@@ -260,8 +270,8 @@ TEST(ParallelParityTest, StatsCountMorselsAndTime) {
   QueryStats ps, ss;
   const PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
   const TimePoint vt = scenario->elements()[17].valid.begin();
-  parallel.TimesliceSetWith(scan, vt, &ps);
-  serial.TimesliceSetWith(scan, vt, &ss);
+  parallel.Execute(TemporalQuery::Timeslice(vt), &ps, &scan);
+  serial.Execute(TemporalQuery::Timeslice(vt), &ss, &scan);
   EXPECT_EQ(ss.morsels_executed, 1u);
   EXPECT_EQ(ps.morsels_executed, (scenario->size() + 63) / 64);
   EXPECT_EQ(ps.elements_examined, ss.elements_examined);
@@ -303,13 +313,16 @@ TEST(ParallelParityTest, WallClockBoundedBySummedMorselTimeUnderParallelism) {
   const PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
   const TimePoint vt = scenario->elements()[999].valid.begin();
   // Warm up the pool so thread spin-up does not land in the measured wall.
-  { QueryStats warm; parallel.TimesliceSetWith(scan, vt, &warm); }
+  {
+    QueryStats warm;
+    parallel.Execute(TemporalQuery::Timeslice(vt), &warm, &scan);
+  }
 
   if (std::thread::hardware_concurrency() >= 2) {
     bool overlapped = false;
     for (int trial = 0; trial < 10 && !overlapped; ++trial) {
       QueryStats ps;
-      parallel.TimesliceSetWith(scan, vt, &ps);
+      parallel.Execute(TemporalQuery::Timeslice(vt), &ps, &scan);
       ASSERT_GT(ps.morsels_executed, 1u);
       overlapped = ps.wall_micros <= ps.cpu_micros;
     }
@@ -318,7 +331,7 @@ TEST(ParallelParityTest, WallClockBoundedBySummedMorselTimeUnderParallelism) {
         << std::thread::hardware_concurrency() << "-core host";
   } else {
     QueryStats ps;
-    parallel.TimesliceSetWith(scan, vt, &ps);
+    parallel.Execute(TemporalQuery::Timeslice(vt), &ps, &scan);
     EXPECT_GT(ps.morsels_executed, 1u);
     EXPECT_GT(ps.wall_micros, 0u);
     EXPECT_GT(ps.cpu_micros, 0u);

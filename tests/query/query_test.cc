@@ -56,6 +56,21 @@ TEST(OptimizerTest, BandedRelationGetsTransactionWindow) {
   EXPECT_EQ(plan.tt_window.end(), TimePoint::FromMicros(T(1120).micros() + 1));
 }
 
+TEST(OptimizerTest, DelayedStronglyRetroactivelyBoundedGetsTransactionWindow) {
+  // One declared delayed strongly retroactively bounded spec (a warehouse
+  // copy loaded 60s to 5min after the fact) plans the banded window alone.
+  SpecializationSet specs;
+  specs.AddEvent(EventSpecialization::DelayedStronglyRetroactivelyBounded(
+                     Duration::Seconds(60), Duration::Seconds(300))
+                     .ValueOrDie());
+  SchemaPtr schema = EventSchema();
+  Optimizer opt(specs, *schema);
+  const PlanChoice plan = opt.PlanTimeslice(T(1000));
+  EXPECT_EQ(plan.strategy, ExecutionStrategy::kTransactionWindow);
+  EXPECT_EQ(plan.tt_window.begin(), T(1060));
+  EXPECT_EQ(plan.tt_window.end(), TimePoint::FromMicros(T(1300).micros() + 1));
+}
+
 TEST(OptimizerTest, CalendricBandsAreSkipped) {
   SpecializationSet specs;
   specs.AddEvent(
@@ -155,11 +170,12 @@ TEST(OptimizerTest, IntervalWindowStrategyMatchesScan) {
   QueryExecutor exec(*rel);
   PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
   for (int64_t q : {10000, 20000, 40000, 65000}) {
-    const PlanChoice plan = exec.optimizer().PlanTimeslice(T(q));
+    const TemporalQuery timeslice = TemporalQuery::Timeslice(T(q));
+    const PlanChoice plan = exec.Plan(timeslice);
     ASSERT_EQ(plan.strategy, ExecutionStrategy::kTransactionWindow) << q;
     QueryStats fast_stats, slow_stats;
-    const auto fast = exec.TimesliceWith(plan, T(q), &fast_stats);
-    const auto slow = exec.TimesliceWith(scan, T(q), &slow_stats);
+    const ResultSet fast = exec.Execute(timeslice, &fast_stats, &plan);
+    const ResultSet slow = exec.Execute(timeslice, &slow_stats, &scan);
     EXPECT_EQ(fast.size(), slow.size()) << q;
     EXPECT_LT(fast_stats.elements_examined, slow_stats.elements_examined) << q;
   }
@@ -199,15 +215,18 @@ TEST_F(StrategyEquivalenceTest, AllTimesliceStrategiesAgree) {
     const PlanChoice window = opt.PlanTimeslice(vt);
     ASSERT_EQ(window.strategy, ExecutionStrategy::kTransactionWindow);
 
-    auto sorted_ids = [](std::vector<Element> v) {
+    auto sorted_ids = [&](const PlanChoice& plan) {
       std::vector<ElementSurrogate> ids;
-      for (const auto& e : v) ids.push_back(e.element_surrogate);
+      for (const Element& e :
+           exec.Execute(TemporalQuery::Timeslice(vt), nullptr, &plan)) {
+        ids.push_back(e.element_surrogate);
+      }
       std::sort(ids.begin(), ids.end());
       return ids;
     };
-    const auto a = sorted_ids(exec.TimesliceWith(scan, vt));
-    const auto b = sorted_ids(exec.TimesliceWith(index, vt));
-    const auto c = sorted_ids(exec.TimesliceWith(window, vt));
+    const auto a = sorted_ids(scan);
+    const auto b = sorted_ids(index);
+    const auto c = sorted_ids(window);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, c);
     EXPECT_FALSE(a.empty());
@@ -219,8 +238,8 @@ TEST_F(StrategyEquivalenceTest, WindowExaminesFewerElements) {
   const TimePoint vt = scenario_.relation->elements()[100].valid.at();
   QueryStats scan_stats, window_stats;
   PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
-  exec.TimesliceWith(scan, vt, &scan_stats);
-  exec.Timeslice(vt, &window_stats);
+  exec.Execute(TemporalQuery::Timeslice(vt), &scan_stats, &scan);
+  exec.Execute(TemporalQuery::Timeslice(vt), &window_stats);
   EXPECT_EQ(scan_stats.elements_examined, scenario_.relation->size());
   EXPECT_LT(window_stats.elements_examined, scan_stats.elements_examined / 4);
   EXPECT_EQ(scan_stats.results, window_stats.results);
@@ -238,10 +257,10 @@ TEST(ExecutorTest, CurrentAndRollbackQueries) {
   ASSERT_OK(rel->LogicalDelete(a));
 
   QueryExecutor exec(*rel);
-  EXPECT_EQ(exec.Current().size(), 1u);
-  EXPECT_EQ(exec.Rollback(T(105)).size(), 1u);
-  EXPECT_EQ(exec.Rollback(T(115)).size(), 2u);
-  EXPECT_EQ(exec.Rollback(T(125)).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Current()).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(105))).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(115))).size(), 2u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(125))).size(), 1u);
 }
 
 TEST(ExecutorTest, TimesliceAsOfBitemporal) {
@@ -257,9 +276,9 @@ TEST(ExecutorTest, TimesliceAsOfBitemporal) {
 
   QueryExecutor exec(*rel);
   // As believed at tt=105: the fact exists.
-  EXPECT_EQ(exec.TimesliceAsOf(T(50), T(105)).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Timeslice(T(50), T(105))).size(), 1u);
   // As believed now: it does not.
-  EXPECT_EQ(exec.TimesliceAsOf(T(50), T(200)).size(), 0u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Timeslice(T(50), T(200))).size(), 0u);
 }
 
 TEST(ExecutorTest, MonotoneBinarySearchCorrectness) {
@@ -281,14 +300,17 @@ TEST(ExecutorTest, MonotoneBinarySearchCorrectness) {
   PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
   for (int64_t q : {0, 5, 100, 250, 600, 10000}) {
     QueryStats fast_stats;
-    const auto fast = exec.Timeslice(T(q), &fast_stats);
-    const auto slow = exec.TimesliceWith(scan, T(q));
+    const ResultSet fast =
+        exec.Execute(TemporalQuery::Timeslice(T(q)), &fast_stats);
+    const ResultSet slow =
+        exec.Execute(TemporalQuery::Timeslice(T(q)), nullptr, &scan);
     EXPECT_EQ(fast.size(), slow.size()) << "q=" << q;
     EXPECT_LE(fast_stats.elements_examined, fast.size() + 1);
   }
   // Range queries too.
-  const auto fast = exec.ValidRange(T(100), T(200));
-  const auto slow = exec.ValidRangeWith(scan, T(100), T(200));
+  const TemporalQuery range = TemporalQuery::ValidRange(T(100), T(200));
+  const ResultSet fast = exec.Execute(range);
+  const ResultSet slow = exec.Execute(range, nullptr, &scan);
   EXPECT_EQ(fast.size(), slow.size());
 }
 
@@ -302,12 +324,13 @@ TEST(ExecutorTest, DegenerateRollbackEquivalence) {
   QueryExecutor exec(*scenario.relation);
   const TimePoint vt = scenario.relation->elements()[25].valid.at();
   QueryStats stats;
-  const auto result = exec.Timeslice(vt, &stats);
+  const ResultSet result = exec.Execute(TemporalQuery::Timeslice(vt), &stats);
   EXPECT_EQ(result.size(), 1u);
   // Only the one granule's worth of elements examined.
   EXPECT_LE(stats.elements_examined, 2u);
   PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
-  EXPECT_EQ(exec.TimesliceWith(scan, vt).size(), result.size());
+  EXPECT_EQ(exec.Execute(TemporalQuery::Timeslice(vt), nullptr, &scan).size(),
+            result.size());
 }
 
 }  // namespace

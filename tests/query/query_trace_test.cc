@@ -60,7 +60,7 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
     TraceContext trace;
     QueryExecutor exec(*scenario_.relation,
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
-    exec.CurrentSet();
+    exec.Execute(TemporalQuery::Current());
     ExpectPopulatedSpan(trace, "query.current", 1);
     EXPECT_EQ(trace.attr("strategy"), "full_scan");
   }
@@ -68,7 +68,7 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
     TraceContext trace;
     QueryExecutor exec(*scenario_.relation,
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
-    exec.RollbackSet(tt);
+    exec.Execute(TemporalQuery::Rollback(tt));
     ExpectPopulatedSpan(trace, "query.rollback", 1);
     // A rollback scans only the rows stored by tt.
     uint64_t stored = 0;
@@ -80,7 +80,7 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
     TraceContext trace;
     QueryExecutor exec(*scenario_.relation,
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
-    exec.TimesliceSet(vt);
+    exec.Execute(TemporalQuery::Timeslice(vt));
     ExpectPopulatedSpan(trace, "query.timeslice", 0);
     // The planned timeslice records its plan stage and rationale.
     EXPECT_FALSE(trace.attr("plan").empty());
@@ -97,14 +97,14 @@ TEST_F(QueryTraceTest, EveryEventQueryPathPopulatesItsSpan) {
     TraceContext trace;
     QueryExecutor exec(*scenario_.relation,
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
-    exec.ValidRangeSet(vt, vt + Duration::Minutes(10));
+    exec.Execute(TemporalQuery::ValidRange(vt, vt + Duration::Minutes(10)));
     ExpectPopulatedSpan(trace, "query.valid_range", 0);
   }
   {
     TraceContext trace;
     QueryExecutor exec(*scenario_.relation,
                        ExecutorOptions{.pool = nullptr, .trace = &trace});
-    exec.TimesliceAsOfSet(vt, tt);
+    exec.Execute(TemporalQuery::Timeslice(vt, tt));
     ExpectPopulatedSpan(trace, "query.timeslice_as_of", 1);
   }
 }
@@ -122,7 +122,7 @@ TEST_F(QueryTraceTest, ParallelExecutionRecordsMorselsAndCpuTime) {
   // Full scan: the planner's index probe would leave too few candidates to
   // fan out, and this test is about the per-morsel accounting.
   const PlanChoice scan{ExecutionStrategy::kFullScan, TimeInterval::All(), ""};
-  exec.TimesliceSetWith(scan, vt, &stats);
+  exec.Execute(TemporalQuery::Timeslice(vt), &stats, &scan);
   ExpectPopulatedSpan(trace, "query.timeslice", 0);
   EXPECT_GT(trace.counter("morsels_executed"), 1u);
   EXPECT_EQ(trace.counter("morsels_executed"), stats.morsels_executed);
@@ -140,7 +140,8 @@ TEST_F(QueryTraceTest, IntervalRelationValidRangePopulatesSpan) {
   TraceContext trace;
   QueryExecutor exec(*scenario.relation,
                      ExecutorOptions{.pool = nullptr, .trace = &trace});
-  exec.ValidRangeSet(probe.valid.begin(), probe.valid.end());
+  exec.Execute(
+      TemporalQuery::ValidRange(probe.valid.begin(), probe.valid.end()));
   ExpectPopulatedSpan(trace, "query.valid_range", 0);
 }
 
@@ -148,8 +149,8 @@ TEST_F(QueryTraceTest, RegistryCountsQueriesWhenCompiledIn) {
   QueryExecutor exec(*scenario_.relation, ExecutorOptions{.pool = nullptr});
   const uint64_t before =
       MetricsRegistry::Instance().Scrape().counter("executor.queries");
-  exec.CurrentSet();
-  exec.TimesliceSet(scenario_->elements()[5].valid.at());
+  exec.Execute(TemporalQuery::Current());
+  exec.Execute(TemporalQuery::Timeslice(scenario_->elements()[5].valid.at()));
   const uint64_t after =
       MetricsRegistry::Instance().Scrape().counter("executor.queries");
   if (MetricsCompiledIn()) {

@@ -149,7 +149,8 @@ TEST(StrategyDifferentialTest, PlannedReadPaysAtMostTwiceTheCheaperSource) {
       const TimePoint vt =
           probe.valid.at() + Duration::Seconds(rng.Uniform(-2, 2));
 
-      const PlanChoice plan = exec.optimizer().PlanTimeslice(vt);
+      const TemporalQuery timeslice = TemporalQuery::Timeslice(vt);
+      const PlanChoice plan = exec.Plan(timeslice);
       const std::string what = std::string("timeslice under ") +
                                ExecutionStrategyToString(plan.strategy);
       QueryStats specialized_stats, naive_stats, range_only, probe_only;
@@ -157,14 +158,14 @@ TEST(StrategyDifferentialTest, PlannedReadPaysAtMostTwiceTheCheaperSource) {
       QueryExecutor traced(*rr.relation,
                            ExecutorOptions{.pool = nullptr, .trace = &trace});
       const ResultSet specialized =
-          traced.TimesliceSetWith(plan, vt, &specialized_stats);
+          traced.Execute(timeslice, &specialized_stats, &plan);
       const ResultSet naive =
-          exec.TimesliceSetWith(naive_plan, vt, &naive_stats);
+          exec.Execute(timeslice, &naive_stats, &naive_plan);
       ExpectSameResults(specialized, naive, what);
-      ExpectSameResults(
-          exec.TimesliceSetWith(ForcedRange(plan), vt, &range_only), naive,
-          what + ", range forced");
-      ExpectSameResults(exec.TimesliceSetWith(kForcedProbe, vt, &probe_only),
+      const PlanChoice forced_range = ForcedRange(plan);
+      ExpectSameResults(exec.Execute(timeslice, &range_only, &forced_range),
+                        naive, what + ", range forced");
+      ExpectSameResults(exec.Execute(timeslice, &probe_only, &kForcedProbe),
                         naive, what + ", probe forced");
       EXPECT_EQ(naive_stats.elements_examined, static_cast<uint64_t>(kEvents));
       EXPECT_LE(specialized_stats.elements_examined,
@@ -196,21 +197,21 @@ TEST(StrategyDifferentialTest, PlannedReadPaysAtMostTwiceTheCheaperSource) {
 
       // Valid-range probes: the same contract for the range planner.
       const TimePoint hi = vt + Duration::Seconds(rng.Uniform(1, 300));
-      const PlanChoice range_plan = exec.optimizer().PlanValidRange(vt, hi);
+      const TemporalQuery range = TemporalQuery::ValidRange(vt, hi);
+      const PlanChoice range_plan = exec.Plan(range);
       const std::string range_what =
           std::string("valid-range under ") +
           ExecutionStrategyToString(range_plan.strategy);
       QueryStats range_stats, range_naive_stats, window_only, index_only;
       const ResultSet range_naive =
-          exec.ValidRangeSetWith(naive_plan, vt, hi, &range_naive_stats);
-      ExpectSameResults(exec.ValidRangeSetWith(range_plan, vt, hi, &range_stats),
+          exec.Execute(range, &range_naive_stats, &naive_plan);
+      ExpectSameResults(exec.Execute(range, &range_stats, &range_plan),
                         range_naive, range_what);
-      ExpectSameResults(exec.ValidRangeSetWith(ForcedRange(range_plan), vt, hi,
-                                               &window_only),
+      const PlanChoice forced_window = ForcedRange(range_plan);
+      ExpectSameResults(exec.Execute(range, &window_only, &forced_window),
                         range_naive, range_what + ", range forced");
-      ExpectSameResults(
-          exec.ValidRangeSetWith(kForcedProbe, vt, hi, &index_only),
-          range_naive, range_what + ", probe forced");
+      ExpectSameResults(exec.Execute(range, &index_only, &kForcedProbe),
+                        range_naive, range_what + ", probe forced");
       EXPECT_LE(range_stats.elements_examined,
                 2 * std::min(window_only.elements_examined,
                              index_only.elements_examined))
@@ -308,20 +309,19 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
           probe.valid.at() + Duration::Seconds(rng.Uniform(-30, 0));
       const TimePoint hi = lo + Duration::Seconds(rng.Uniform(1, 120));
 
+      const TemporalQuery range = TemporalQuery::ValidRange(lo, hi);
       QueryStats ignored;
-      const ResultSet row =
-          exec.ValidRangeSetWith(row_plan, lo, hi, &ignored);
-      const ResultSet generic =
-          exec.ValidRangeSetWith(generic_plan, lo, hi, &ignored);
-      const PlanChoice planned = exec.optimizer().PlanValidRange(lo, hi);
+      const ResultSet row = exec.Execute(range, &ignored, &row_plan);
+      const ResultSet generic = exec.Execute(range, &ignored, &generic_plan);
+      const PlanChoice planned = exec.Plan(range);
       QueryStats kernel_stats;
       const ResultSet specialized =
-          exec.ValidRangeSetWith(planned, lo, hi, &kernel_stats);
+          exec.Execute(range, &kernel_stats, &planned);
       PlanChoice planned_row = planned;
       planned_row.kernel = ScanKernel::kRowAtATime;
       QueryStats row_stats;
       const ResultSet planned_walk =
-          exec.ValidRangeSetWith(planned_row, lo, hi, &row_stats);
+          exec.Execute(range, &row_stats, &planned_row);
       const std::string what =
           std::string("kernel ") + ScanKernelToToken(planned.kernel) +
           " under " + ExecutionStrategyToString(planned.strategy);
@@ -332,9 +332,9 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
           << what;
     }
 
-    // Existence kernel: CurrentSet/RollbackSet run existence_columnar; the
-    // naive comparison re-derives both from the Element walk.
-    const ResultSet current = exec.CurrentSet();
+    // Existence kernel: current and rollback queries run existence_columnar;
+    // the naive comparison re-derives both from the Element walk.
+    const ResultSet current = exec.Execute(TemporalQuery::Current());
     std::vector<uint64_t> naive_current;
     for (size_t i = 0; i < elements.size(); ++i) {
       if (elements[i].IsCurrent()) naive_current.push_back(i);
@@ -343,7 +343,7 @@ TEST(StrategyDifferentialTest, EveryKernelMatchesTheRowWalkDifferentially) {
 
     const TimePoint mid =
         TimePoint::FromMicros(rr.relation->LastTransactionTime().micros() / 2);
-    const ResultSet rollback = exec.RollbackSet(mid);
+    const ResultSet rollback = exec.Execute(TemporalQuery::Rollback(mid));
     std::vector<uint64_t> naive_rollback;
     for (size_t i = 0; i < elements.size(); ++i) {
       if (elements[i].ExistsAt(mid)) naive_rollback.push_back(i);
@@ -404,7 +404,8 @@ TEST(StrategyDifferentialTest, AsOfReadsScanOnlyTheStoredPrefix) {
       // Before the first insert `stored` is 0, so the bounds below demand
       // that nothing at all is examined.
       QueryStats rollback_stats;
-      EXPECT_EQ(exec.RollbackSet(as_of, &rollback_stats).positions(),
+      EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(as_of), &rollback_stats)
+                    .positions(),
                 naive_rollback);
       EXPECT_LE(rollback_stats.elements_examined, stored);
 
@@ -422,20 +423,19 @@ TEST(StrategyDifferentialTest, AsOfReadsScanOnlyTheStoredPrefix) {
             naive.push_back(i);
           }
         }
-        const PlanChoice planned = exec.optimizer().PlanTimeslice(vt);
+        const TemporalQuery as_of_slice = TemporalQuery::Timeslice(vt, as_of);
+        const PlanChoice planned = exec.Plan(as_of_slice);
+        const PlanChoice forced_range = ForcedRange(planned);
         QueryStats planned_stats, range_stats, index_stats;
-        EXPECT_EQ(exec.TimesliceAsOfSet(vt, as_of, &planned_stats).positions(),
-                  naive)
+        EXPECT_EQ(exec.Execute(as_of_slice, &planned_stats).positions(), naive)
             << ExecutionStrategyToString(planned.strategy);
-        EXPECT_EQ(exec.TimesliceAsOfSetWith(ForcedRange(planned), vt, as_of,
-                                            &range_stats)
-                      .positions(),
-                  naive)
+        EXPECT_EQ(
+            exec.Execute(as_of_slice, &range_stats, &forced_range).positions(),
+            naive)
             << "forced range";
-        EXPECT_EQ(exec.TimesliceAsOfSetWith(kForcedProbe, vt, as_of,
-                                            &index_stats)
-                      .positions(),
-                  naive)
+        EXPECT_EQ(
+            exec.Execute(as_of_slice, &index_stats, &kForcedProbe).positions(),
+            naive)
             << "forced valid_index";
         EXPECT_LE(planned_stats.elements_examined, 2 * stored)
             << ExecutionStrategyToString(planned.strategy);

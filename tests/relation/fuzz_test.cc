@@ -156,18 +156,21 @@ class FuzzFixture {
     QueryExecutor exec(*relation_);
     // Rollback at random past stamps: exactly the reference's elements.
     const int64_t tt = rng_.Uniform(0, next_tt_ + 10);
-    const std::vector<Element> rows = exec.Rollback(T(tt));
+    const ResultSet rows = exec.Execute(TemporalQuery::Rollback(T(tt)));
     std::set<ElementSurrogate> rolled_back;
     for (const Element& e : rows) rolled_back.insert(e.element_surrogate);
     EXPECT_EQ(rolled_back, reference_.StateIdsAt(tt)) << "tt=" << tt;
     EXPECT_EQ(rows.size(), rolled_back.size()) << "duplicate rows at tt=" << tt;
-    EXPECT_EQ(exec.Current().size(), reference_.CurrentSize());
+    EXPECT_EQ(exec.Execute(TemporalQuery::Current()).size(),
+              reference_.CurrentSize());
     // Timeslice and range queries (exercise the planner too).
     const int64_t vt = rng_.Uniform(-100, 3000);
-    EXPECT_EQ(exec.Timeslice(T(vt)).size(), reference_.TimesliceSize(vt));
+    EXPECT_EQ(exec.Execute(TemporalQuery::Timeslice(T(vt))).size(),
+              reference_.TimesliceSize(vt));
     const int64_t lo = rng_.Uniform(-100, 3000);
     const int64_t hi = lo + rng_.Uniform(1, 500);
-    EXPECT_EQ(exec.ValidRange(T(lo), T(hi)).size(), reference_.RangeSize(lo, hi));
+    EXPECT_EQ(exec.Execute(TemporalQuery::ValidRange(T(lo), T(hi))).size(),
+              reference_.RangeSize(lo, hi));
   }
 
   TemporalRelation* relation() { return relation_.get(); }

@@ -107,8 +107,9 @@ TEST(RelationTest, ModifySharesOneTransactionTime) {
   // it the new one.
   const TimePoint boundary = new_e.tt_begin;
   QueryExecutor exec(*rel);
-  auto before = exec.Rollback(TimePoint::FromMicros(boundary.micros() - 1));
-  auto after = exec.Rollback(boundary);
+  const ResultSet before = exec.Execute(
+      TemporalQuery::Rollback(TimePoint::FromMicros(boundary.micros() - 1)));
+  const ResultSet after = exec.Execute(TemporalQuery::Rollback(boundary));
   ASSERT_EQ(before.size(), 1u);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(before[0].element_surrogate, old_id);
@@ -123,11 +124,11 @@ TEST(RelationTest, RollbackStatesFollowHistory) {
   ASSERT_OK(rel->LogicalDelete(a));
   // tts: 1000, 1010, 1020.
   QueryExecutor exec(*rel);
-  EXPECT_EQ(exec.RollbackSet(T(999)).size(), 0u);
-  EXPECT_EQ(exec.RollbackSet(T(1000)).size(), 1u);
-  EXPECT_EQ(exec.RollbackSet(T(1010)).size(), 2u);
-  EXPECT_EQ(exec.RollbackSet(T(1020)).size(), 1u);
-  EXPECT_EQ(exec.CurrentSet().size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(999))).size(), 0u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(1000))).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(1010))).size(), 2u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(1020))).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Current()).size(), 1u);
 }
 
 TEST(RelationTest, PerSurrogatePartitions) {
@@ -218,7 +219,7 @@ TEST(RelationTest, DurableRecoveryRestoresEverything) {
   EXPECT_EQ(rel->size(), 3u);
   ASSERT_OK_AND_ASSIGN(Element e, rel->GetElement(deleted_id));
   EXPECT_FALSE(e.IsCurrent());
-  EXPECT_EQ(QueryExecutor(*rel).CurrentSet().size(), 2u);
+  EXPECT_EQ(QueryExecutor(*rel).Execute(TemporalQuery::Current()).size(), 2u);
   EXPECT_OK(rel->CheckExtension());
   // New inserts continue beyond recovered stamps and surrogates.
   ASSERT_OK_AND_ASSIGN(ElementSurrogate next,
@@ -336,9 +337,9 @@ TEST(RelationTest, VacuumRemovesDeadHistory) {
 
   // Rollback at/after the horizon is unchanged: at 1035 only b and c lived.
   QueryExecutor exec(*rel);
-  EXPECT_EQ(exec.RollbackSet(T(1035)).size(), 2u);
-  EXPECT_EQ(exec.RollbackSet(T(1045)).size(), 1u);
-  EXPECT_EQ(exec.CurrentSet().size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(1035))).size(), 2u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(T(1045))).size(), 1u);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Current()).size(), 1u);
   // Indexes were rebuilt consistently.
   const StampColumns cols = rel->stamps().columns();
   ASSERT_EQ(cols.size, 2u);
@@ -373,7 +374,7 @@ TEST(RelationTest, RollbackAfterVacuumMatchesExistenceCount) {
     for (const Element& e : rel->elements()) {
       if (e.ExistsAt(tt)) ++expected;
     }
-    EXPECT_EQ(exec.Rollback(tt).size(), expected);
+    EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(tt)).size(), expected);
     EXPECT_EQ(expected, 40u);
   }
 }
@@ -397,8 +398,9 @@ TEST(RelationTest, FailedVacuumLeavesRelationIntact) {
                                     rel->elements().end());
   QueryExecutor exec(*rel);
   const TimePoint mid = T(1015);
-  const size_t current_before = exec.CurrentSet().size();
-  const size_t rollback_before = exec.RollbackSet(mid).size();
+  const size_t current_before = exec.Execute(TemporalQuery::Current()).size();
+  const size_t rollback_before =
+      exec.Execute(TemporalQuery::Rollback(mid)).size();
 
   // Compaction writes its side file page by page: fail the first write.
   FailpointRegistry::Instance().Arm("disk.write_page",
@@ -417,8 +419,8 @@ TEST(RelationTest, FailedVacuumLeavesRelationIntact) {
     EXPECT_EQ(got.valid, e.valid);
     EXPECT_EQ(got.attributes, e.attributes);
   }
-  EXPECT_EQ(exec.CurrentSet().size(), current_before);
-  EXPECT_EQ(exec.RollbackSet(mid).size(), rollback_before);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Current()).size(), current_before);
+  EXPECT_EQ(exec.Execute(TemporalQuery::Rollback(mid)).size(), rollback_before);
 }
 
 TEST(RelationTest, VacuumDurableSurvivesReopen) {

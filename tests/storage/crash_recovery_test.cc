@@ -376,7 +376,8 @@ TEST(CrashRecoveryTest, RelationLevelRecovery) {
     ASSERT_EQ(rel->size(), inserts);
     size_t alive_count = 0;
     for (const auto& [id, is_alive] : alive) alive_count += is_alive ? 1 : 0;
-    ASSERT_EQ(QueryExecutor(*rel).CurrentSet().size(), alive_count);
+    ASSERT_EQ(QueryExecutor(*rel).Execute(TemporalQuery::Current()).size(),
+              alive_count);
 
     // Partitions and object order are rebuilt on recovery (regression: they
     // used to come back empty, breaking PartitionOf()/Objects()).

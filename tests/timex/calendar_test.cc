@@ -139,6 +139,34 @@ TEST(CalendarTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseTimePoint("1992-02-03 25:00:00").ok());
 }
 
+TEST(CalendarTest, ParseRejectsMalformedFractionsAndTrailingText) {
+  // Neither a signed or empty fraction nor trailing text may be read as
+  // some nearby instant.
+  for (const char* bad :
+       {"2020-01-01 00:00:00.-5", "2020-01-01 00:00:00.xyz",
+        "2020-01-01 00:00:00.", "2020-01-01 00:00:00.5x",
+        "2020-01-01 garbage", "2020-01-01 00:00:00 garbage",
+        "2020-01-01 00:00:00Z", "2020-01-01 10", "2020-01-01 10:-5",
+        "2020-+1-01", " 2020-01-01", "2020-01-01 "}) {
+    EXPECT_TRUE(ParseTimePoint(bad).status().IsInvalidArgument()) << bad;
+  }
+}
+
+TEST(CalendarTest, ParseAcceptsEveryDocumentedForm) {
+  EXPECT_EQ(ParseTimePoint("2020-01-01").ValueOrDie(), Civil(2020, 1, 1));
+  EXPECT_EQ(ParseTimePoint("2020-01-01 10:20").ValueOrDie(),
+            Civil(2020, 1, 1, 10, 20));
+  EXPECT_EQ(ParseTimePoint("2020-01-01 10:20:30").ValueOrDie(),
+            Civil(2020, 1, 1, 10, 20, 30));
+  // A fraction of any length: its first six digits are microseconds.
+  EXPECT_EQ(ParseTimePoint("2020-01-01 10:20:30.5").ValueOrDie(),
+            Civil(2020, 1, 1, 10, 20, 30) + Duration::Micros(500000));
+  EXPECT_EQ(ParseTimePoint("2020-01-01 10:20:30.000007").ValueOrDie(),
+            Civil(2020, 1, 1, 10, 20, 30) + Duration::Micros(7));
+  EXPECT_EQ(ParseTimePoint("2020-01-01 10:20:30.123456789").ValueOrDie(),
+            Civil(2020, 1, 1, 10, 20, 30) + Duration::Micros(123456));
+}
+
 TEST(CalendarTest, FormatRoundTrip) {
   const TimePoint tp = Civil(1992, 2, 3, 4, 5, 6) + Duration::Micros(7);
   ASSERT_OK_AND_ASSIGN(TimePoint back, ParseTimePoint(FormatTimePoint(tp)));

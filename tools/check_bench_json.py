@@ -9,7 +9,9 @@ and types, the build-configuration params block (threads, metrics_enabled,
 failpoints_enabled, flightrecorder_enabled, sanitizers, compiler),
 per-benchmark entries with numeric
 median/p99 and counters, and a metrics snapshot object with
-counters/gauges/histograms maps. Exits nonzero with a per-file report on the
+counters/gauges/histograms maps. A p3_server file must also report wall-clock
+rates: each benchmark's requests_per_sec within 10% of
+(pipeline_depth or 1) * 1e9 / real_time_ns_median. Exits nonzero with a per-file report on the
 first structural violation so CI can gate on it. Stdlib only — no third-party
 dependencies.
 """
@@ -26,6 +28,27 @@ def check_number(path, obj, key):
     if key not in obj or isinstance(obj[key], bool) or not isinstance(
             obj[key], (int, float)):
         return fail(path, f"missing or non-numeric '{key}' in {obj.keys()}")
+    return True
+
+
+def check_p3_rates(path, benchmarks):
+    """One P3 iteration sends pipeline_depth requests (1 when the counter is
+    absent) and real_time_ns_median is its wall time, so requests_per_sec
+    must be that many requests per second of wall clock. A rate taken over
+    the client thread's CPU time reads several times higher."""
+    for b in benchmarks:
+        counters = b["counters"]
+        if "requests_per_sec" not in counters:
+            return fail(path, f"requests_per_sec missing in {b['name']}")
+        if b["real_time_ns_median"] <= 0:
+            return fail(path, f"zero real_time_ns_median in {b['name']}")
+        wall_rate = (counters.get("pipeline_depth") or 1) * 1e9 / b[
+            "real_time_ns_median"]
+        rate = counters["requests_per_sec"]
+        if abs(rate - wall_rate) > 0.1 * wall_rate:
+            return fail(path, f"{b['name']}: requests_per_sec {rate:.0f} is "
+                              f"not the wall-clock rate {wall_rate:.0f} "
+                              "(more than 10% apart)")
     return True
 
 
@@ -84,6 +107,9 @@ def check_file(path):
         for k, v in counters.items():
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 return fail(path, f"non-numeric counter {k!r} in {b['name']}")
+
+    if doc["bench_id"] == "p3_server" and not check_p3_rates(path, benchmarks):
+        return False
 
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
