@@ -1,6 +1,7 @@
 #include "storage/backlog.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
@@ -13,49 +14,155 @@ namespace tempspec {
 
 namespace {
 constexpr uint32_t kBacklogMagic = 0x544C4B42;  // "BKLT"
-// v3: the header meta is [magic][version][u64 epoch]; the entry count is
+// v4: the header meta is [magic][version][u64 epoch]; the entry count is
 // derived by scanning the CRC-guarded data pages ([u32 crc][payload]
 // records); WAL records carry the epoch and an LSN equal to the global
 // operation index. The epoch is bumped by compaction (ReplaceAll) so stale
-// WAL records of a superseded generation are recognizable at replay.
+// WAL records of a superseded generation are recognizable at replay. The
+// WAL and the pages hold the same payload, the compact record below.
 // Earlier versions (v1: trusted count header, no record CRCs; v2: no
-// epoch) are rejected at open rather than mis-recovered as empty.
-constexpr uint32_t kBacklogVersion = 3;
+// epoch; v3: fixed-width records and WAL headers) are rejected at open
+// rather than mis-recovered.
+constexpr uint32_t kBacklogVersion = 4;
 
-std::string EncodeOp(BacklogOpType op, TimePoint tt, const Element* element,
-                     ElementSurrogate target) {
-  std::string out;
-  Encoder enc(&out);
-  enc.PutU8(static_cast<uint8_t>(op));
-  enc.PutTimePoint(tt);
-  if (op == BacklogOpType::kInsert) {
-    EncodeElement(*element, &enc);
+// A record payload is one flags byte, then varints:
+//   insert: element surrogate, object surrogate, tt_begin (zigzag), then
+//           zigzag offsets: [tt - tt_begin], vt_begin - tt_begin,
+//           [vt_end - vt_begin], [tt_end - tt_begin]; then the tuple;
+//   delete: tt (zigzag), target surrogate.
+// Bracketed fields are present only when their flag says so: tt is implied
+// by tt_begin, an event has no vt_end, an open tt_end is Max(). Valid time
+// is stored as its offset from transaction time because that offset is
+// what the specializations bound (retroactive and predictive bounds,
+// delays, degeneracy), so it stays small where the raw stamp does not.
+// Offsets are taken modulo 2^64, so sentinels and extreme stamps round-trip
+// exactly. When tt_begin (or a delete's tt) and every offset are whole
+// seconds, all of them are stored in seconds.
+enum RecordFlag : uint8_t {
+  kDeleteFlag = 1 << 0,
+  kIntervalFlag = 1 << 1,
+  kTtStoredFlag = 1 << 2,     // tt != tt_begin
+  kTtEndStoredFlag = 1 << 3,  // tt_end is closed
+  kSecondsFlag = 1 << 4,      // stamps and offsets in whole seconds
+};
+constexpr uint8_t kKnownFlags = (1 << 5) - 1;
+constexpr uint8_t kInsertOnlyFlags =
+    kIntervalFlag | kTtStoredFlag | kTtEndStoredFlag;
+
+// to - from, modulo 2^64.
+int64_t Offset(TimePoint from, TimePoint to) {
+  return static_cast<int64_t>(static_cast<uint64_t>(to.micros()) -
+                              static_cast<uint64_t>(from.micros()));
+}
+
+TimePoint AddOffset(TimePoint from, int64_t offset) {
+  return TimePoint::FromMicros(static_cast<int64_t>(
+      static_cast<uint64_t>(from.micros()) + static_cast<uint64_t>(offset)));
+}
+
+void EncodeOp(BacklogOpType op, TimePoint tt, const Element& e,
+              ElementSurrogate target, std::string* out) {
+  uint8_t flags = 0;
+  int64_t stamps[5];
+  size_t n = 0;
+  if (op == BacklogOpType::kLogicalDelete) {
+    flags |= kDeleteFlag;
+    stamps[n++] = tt.micros();
   } else {
-    enc.PutU64(target);
+    stamps[n++] = e.tt_begin.micros();
+    if (tt != e.tt_begin) {
+      flags |= kTtStoredFlag;
+      stamps[n++] = Offset(e.tt_begin, tt);
+    }
+    stamps[n++] = Offset(e.tt_begin, e.valid.begin());
+    if (e.valid.is_interval()) {
+      flags |= kIntervalFlag;
+      stamps[n++] = Offset(e.valid.begin(), e.valid.end());
+    }
+    if (!e.tt_end.IsMax()) {
+      flags |= kTtEndStoredFlag;
+      stamps[n++] = Offset(e.tt_begin, e.tt_end);
+    }
   }
-  return out;
+  int64_t unit = kMicrosPerSecond;
+  for (size_t i = 0; i < n; ++i) {
+    if (stamps[i] % unit != 0) unit = 1;
+  }
+  if (unit != 1) flags |= kSecondsFlag;
+
+  Encoder enc(out);
+  enc.PutU8(flags);
+  if (op == BacklogOpType::kLogicalDelete) {
+    enc.PutSignedVarint(stamps[0] / unit);
+    enc.PutVarint(target);
+    return;
+  }
+  enc.PutVarint(e.element_surrogate);
+  enc.PutVarint(e.object_surrogate);
+  for (size_t i = 0; i < n; ++i) enc.PutSignedVarint(stamps[i] / unit);
+  EncodeTuple(e.attributes, &enc);
 }
 
 }  // namespace
 
 std::string BacklogEntry::Encode() const {
-  return EncodeOp(op, tt, &element, target);
+  std::string out;
+  EncodeOp(op, tt, element, target, &out);
+  return out;
 }
 
 Result<BacklogEntry> BacklogEntry::Decode(std::string_view payload) {
   Decoder dec(payload);
-  BacklogEntry entry;
-  TS_ASSIGN_OR_RETURN(uint8_t op, dec.GetU8());
-  if (op != static_cast<uint8_t>(BacklogOpType::kInsert) &&
-      op != static_cast<uint8_t>(BacklogOpType::kLogicalDelete)) {
-    return Status::Corruption("unknown backlog op ", static_cast<int>(op));
+  TS_ASSIGN_OR_RETURN(uint8_t flags, dec.GetU8());
+  if ((flags & ~kKnownFlags) != 0 ||
+      ((flags & kDeleteFlag) != 0 && (flags & kInsertOnlyFlags) != 0)) {
+    return Status::Corruption("bad backlog record flags ",
+                              static_cast<int>(flags));
   }
-  entry.op = static_cast<BacklogOpType>(op);
-  TS_ASSIGN_OR_RETURN(entry.tt, dec.GetTimePoint());
-  if (entry.op == BacklogOpType::kInsert) {
-    TS_ASSIGN_OR_RETURN(entry.element, DecodeElement(&dec));
+  const int64_t unit = (flags & kSecondsFlag) != 0 ? kMicrosPerSecond : 1;
+  const auto stamp = [&]() -> Result<int64_t> {
+    TS_ASSIGN_OR_RETURN(int64_t v, dec.GetSignedVarint());
+    if (v > std::numeric_limits<int64_t>::max() / unit ||
+        v < std::numeric_limits<int64_t>::min() / unit) {
+      return Status::Corruption("backlog stamp overflows 64 bits");
+    }
+    return v * unit;
+  };
+  BacklogEntry entry;
+  if ((flags & kDeleteFlag) != 0) {
+    entry.op = BacklogOpType::kLogicalDelete;
+    TS_ASSIGN_OR_RETURN(int64_t tt, stamp());
+    entry.tt = TimePoint::FromMicros(tt);
+    TS_ASSIGN_OR_RETURN(entry.target, dec.GetVarint());
   } else {
-    TS_ASSIGN_OR_RETURN(entry.target, dec.GetU64());
+    Element& e = entry.element;
+    TS_ASSIGN_OR_RETURN(e.element_surrogate, dec.GetVarint());
+    TS_ASSIGN_OR_RETURN(e.object_surrogate, dec.GetVarint());
+    TS_ASSIGN_OR_RETURN(int64_t tt_begin, stamp());
+    e.tt_begin = TimePoint::FromMicros(tt_begin);
+    entry.tt = e.tt_begin;
+    if ((flags & kTtStoredFlag) != 0) {
+      TS_ASSIGN_OR_RETURN(int64_t offset, stamp());
+      entry.tt = AddOffset(e.tt_begin, offset);
+    }
+    TS_ASSIGN_OR_RETURN(int64_t vt_offset, stamp());
+    const TimePoint vt_begin = AddOffset(e.tt_begin, vt_offset);
+    if ((flags & kIntervalFlag) != 0) {
+      TS_ASSIGN_OR_RETURN(int64_t length, stamp());
+      e.valid = ValidTime::IntervalUnchecked(vt_begin,
+                                             AddOffset(vt_begin, length));
+    } else {
+      e.valid = ValidTime::Event(vt_begin);
+    }
+    if ((flags & kTtEndStoredFlag) != 0) {
+      TS_ASSIGN_OR_RETURN(int64_t offset, stamp());
+      e.tt_end = AddOffset(e.tt_begin, offset);
+    }
+    TS_ASSIGN_OR_RETURN(e.attributes, DecodeTuple(&dec));
+  }
+  if (!dec.exhausted()) {
+    return Status::Corruption("backlog record has ", dec.remaining(),
+                              " trailing bytes");
   }
   return entry;
 }
@@ -84,19 +191,21 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(
     TS_RETURN_NOT_OK(store->RecoverFromPages(on_recovered));
   }
 
-  TS_ASSIGN_OR_RETURN(store->wal_,
-                      WriteAheadLog::Open(options.directory + "/backlog.wal",
-                                          options.sync_mode,
-                                          options.sync_every,
-                                          store->epoch_));
+  // One pass over the WAL delivers its tail and cuts a torn end off.
   uint64_t replayed = 0;
   {
     TraceContext::StageScope stage(&span, "wal_replay");
     TS_ASSIGN_OR_RETURN(
-        replayed, store->ReplayWal([&](std::string_view payload) -> Status {
-          TS_ASSIGN_OR_RETURN(BacklogEntry entry, BacklogEntry::Decode(payload));
-          return store->Deliver(std::move(entry), payload.size(), on_recovered);
-        }));
+        store->wal_,
+        WriteAheadLog::Open(
+            options.directory + "/backlog.wal", options.sync_mode,
+            options.sync_every, store->epoch_,
+            store->WalTail(&replayed, [&](std::string_view payload) -> Status {
+              TS_ASSIGN_OR_RETURN(BacklogEntry entry,
+                                  BacklogEntry::Decode(payload));
+              return store->Deliver(std::move(entry), payload.size(),
+                                    on_recovered);
+            })));
   }
   TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryWalReplay,
             replayed, store->size_, "");
@@ -124,30 +233,28 @@ Status BacklogStore::Deliver(BacklogEntry&& entry, size_t bytes,
   return visitor ? visitor(std::move(entry)) : Status::OK();
 }
 
-Result<uint64_t> BacklogStore::ReplayWal(
-    const std::function<Status(std::string_view payload)>& fn) {
+WriteAheadLog::RecordFn BacklogStore::WalTail(
+    uint64_t* delivered, std::function<Status(std::string_view payload)> fn) {
   // The WAL holds operations appended since the last completed checkpoint —
   // plus, after a crash between checkpoint and WAL reset, stale records the
   // pages already cover. Records of older epochs (a compaction whose WAL
-  // reset never became durable) are filtered inside Replay; within the
-  // current epoch, LSNs are global operation indices: skip what the pages
-  // hold, reject gaps (a gap means durable data was lost).
-  const uint64_t persisted = persisted_entries_;
-  uint64_t expected = persisted;
-  TS_RETURN_NOT_OK(
-      wal_->Replay([&](uint64_t lsn, std::string_view payload) -> Status {
-            if (lsn < persisted) return Status::OK();  // already checkpointed
-            if (lsn != expected) {
-              return Status::Corruption(
-                  "WAL gap after a damaged page file: pages hold ", persisted,
-                  " operations, expected WAL lsn ", expected, ", found ", lsn);
-            }
-            TS_RETURN_NOT_OK(fn(payload));
-            ++expected;
-            return Status::OK();
-          })
-          .status());
-  return expected - persisted;
+  // reset never became durable) are filtered inside the WAL's replay;
+  // within the current epoch, LSNs are global operation indices: skip what
+  // the pages hold, reject gaps (a gap means durable data was lost).
+  *delivered = 0;
+  return [persisted = persisted_entries_, delivered, fn = std::move(fn)](
+             uint64_t lsn, std::string_view payload) -> Status {
+    if (lsn < persisted) return Status::OK();  // already checkpointed
+    const uint64_t expected = persisted + *delivered;
+    if (lsn != expected) {
+      return Status::Corruption(
+          "WAL gap after a damaged page file: pages hold ", persisted,
+          " operations, expected WAL lsn ", expected, ", found ", lsn);
+    }
+    TS_RETURN_NOT_OK(fn(payload));
+    ++*delivered;
+    return Status::OK();
+  };
 }
 
 Status BacklogStore::WriteHeaderPage(BufferPool* pool, uint64_t epoch) {
@@ -283,17 +390,19 @@ Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
 }
 
 Status BacklogStore::AppendInsert(const Element& e) {
-  return AppendPayload(
-      EncodeOp(BacklogOpType::kInsert, e.tt_begin, &e, kInvalidElementSurrogate),
-      e.tt_begin);
+  payload_.clear();
+  EncodeOp(BacklogOpType::kInsert, e.tt_begin, e, kInvalidElementSurrogate,
+           &payload_);
+  return AppendPayload(payload_, e.tt_begin);
 }
 
 Status BacklogStore::AppendDelete(TimePoint tt, ElementSurrogate target) {
-  return AppendPayload(
-      EncodeOp(BacklogOpType::kLogicalDelete, tt, nullptr, target), tt);
+  payload_.clear();
+  EncodeOp(BacklogOpType::kLogicalDelete, tt, Element(), target, &payload_);
+  return AppendPayload(payload_, tt);
 }
 
-Status BacklogStore::AppendPayload(const std::string& payload, TimePoint tt) {
+Status BacklogStore::AppendPayload(std::string_view payload, TimePoint tt) {
   if (io_failed_) {
     return Status::IOError(
         "backlog store is read-only after an IO failure; reopen to recover");
@@ -409,10 +518,12 @@ Status BacklogStore::CheckpointInternal(TraceContext* trace) {
   payloads.reserve(pending);
   {
     TraceContext::StageScope stage(trace, "wal_read");
-    TS_RETURN_NOT_OK(ReplayWal([&](std::string_view payload) {
-                       payloads.emplace_back(payload);
-                       return Status::OK();
-                     }).status());
+    uint64_t read = 0;
+    TS_RETURN_NOT_OK(wal_->Replay(WalTail(&read, [&](std::string_view payload) {
+                                    payloads.emplace_back(payload);
+                                    return Status::OK();
+                                  }))
+                         .status());
   }
   if (payloads.size() != pending) {
     return Status::Corruption("checkpoint read ", payloads.size(), " of ",

@@ -140,13 +140,14 @@ class BacklogStore {
  private:
   BacklogStore() = default;
 
-  Status AppendPayload(const std::string& payload, TimePoint tt);
+  Status AppendPayload(std::string_view payload, TimePoint tt);
   void Count(size_t bytes, TimePoint tt);
   Status Deliver(BacklogEntry&& entry, size_t bytes,
                  const BacklogVisitor& visitor);
-  /// Streams the WAL records the page file does not hold, in LSN order.
-  Result<uint64_t> ReplayWal(
-      const std::function<Status(std::string_view payload)>& fn);
+  /// A WAL record callback that hands `fn`, in LSN order, the records the
+  /// page file does not hold, counting them in `*delivered`.
+  WriteAheadLog::RecordFn WalTail(
+      uint64_t* delivered, std::function<Status(std::string_view payload)> fn);
   Status RecoverFromPages(const BacklogVisitor& visitor);
   Status WriteHeaderPage(BufferPool* pool, uint64_t epoch);
   Status CheckpointInternal(TraceContext* trace);
@@ -161,6 +162,7 @@ class BacklogStore {
   uint64_t persisted_entries_ = 0;
   uint64_t epoch_ = 0;
   bool io_failed_ = false;
+  std::string payload_;  // the append path's reused encode buffer
 
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;

@@ -14,16 +14,18 @@ void PutVarint(uint64_t v, std::string* out) {
 
 Result<uint64_t> GetVarint(std::string_view* in) {
   uint64_t v = 0;
-  int shift = 0;
-  while (!in->empty()) {
+  for (int shift = 0;; shift += 7) {
+    if (in->empty()) return Status::Corruption("truncated varint");
     const uint8_t byte = static_cast<uint8_t>(in->front());
     in->remove_prefix(1);
-    if (shift >= 64) break;
+    // The tenth byte holds bit 63 only: anything more, a continuation bit
+    // included, does not fit in 64 bits.
+    if (shift == 63 && byte > 1) {
+      return Status::Corruption("varint overflows 64 bits");
+    }
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
-    shift += 7;
   }
-  return Status::Corruption("truncated varint");
 }
 
 std::string EncodeTimestampsRaw(std::span<const TimePoint> stamps) {

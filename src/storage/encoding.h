@@ -17,9 +17,18 @@
 
 namespace tempspec {
 
-/// \brief LEB128 variable-length unsigned integer.
+/// \brief LEB128 variable-length unsigned integer. GetVarint consumes one
+/// varint from the front of `*in`; a missing terminator and a value beyond
+/// 64 bits are both Corruption.
 void PutVarint(uint64_t v, std::string* out);
 Result<uint64_t> GetVarint(std::string_view* in);
+
+/// \brief Bytes PutVarint writes for `v` (1 to 10).
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// \brief ZigZag mapping so small negative deltas stay small.
 inline uint64_t ZigZagEncode(int64_t v) {

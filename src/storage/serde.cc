@@ -20,7 +20,7 @@ void Encoder::PutDouble(double v) {
 }
 
 void Encoder::PutString(std::string_view s) {
-  PutU32(static_cast<uint32_t>(s.size()));
+  PutVarint(s.size());
   out_->append(s.data(), s.size());
 }
 
@@ -71,8 +71,13 @@ Result<double> Decoder::GetDouble() {
   return v;
 }
 
+Result<int64_t> Decoder::GetSignedVarint() {
+  TS_ASSIGN_OR_RETURN(uint64_t v, GetVarint());
+  return ZigZagDecode(v);
+}
+
 Result<std::string> Decoder::GetString() {
-  TS_ASSIGN_OR_RETURN(uint32_t len, GetU32());
+  TS_ASSIGN_OR_RETURN(uint64_t len, GetVarint());
   TS_RETURN_NOT_OK(Need(len));
   std::string s(in_.substr(0, len));
   in_.remove_prefix(len);
@@ -93,7 +98,7 @@ void EncodeValue(const Value& v, Encoder* enc) {
       enc->PutU8(v.AsBool() ? 1 : 0);
       break;
     case ValueType::kInt64:
-      enc->PutI64(v.AsInt64());
+      enc->PutSignedVarint(v.AsInt64());
       break;
     case ValueType::kDouble:
       enc->PutDouble(v.AsDouble());
@@ -102,7 +107,7 @@ void EncodeValue(const Value& v, Encoder* enc) {
       enc->PutString(v.AsString());
       break;
     case ValueType::kTime:
-      enc->PutTimePoint(v.AsTime());
+      enc->PutSignedVarint(v.AsTime().micros());
       break;
   }
 }
@@ -114,10 +119,11 @@ Result<Value> DecodeValue(Decoder* dec) {
       return Value::Null();
     case ValueType::kBool: {
       TS_ASSIGN_OR_RETURN(uint8_t b, dec->GetU8());
-      return Value(b != 0);
+      if (b > 1) return Status::Corruption("bad bool byte ", static_cast<int>(b));
+      return Value(b == 1);
     }
     case ValueType::kInt64: {
-      TS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
+      TS_ASSIGN_OR_RETURN(int64_t v, dec->GetSignedVarint());
       return Value(v);
     }
     case ValueType::kDouble: {
@@ -129,56 +135,33 @@ Result<Value> DecodeValue(Decoder* dec) {
       return Value(std::move(s));
     }
     case ValueType::kTime: {
-      TS_ASSIGN_OR_RETURN(TimePoint tp, dec->GetTimePoint());
-      return Value(tp);
+      TS_ASSIGN_OR_RETURN(int64_t micros, dec->GetSignedVarint());
+      return Value(TimePoint::FromMicros(micros));
     }
   }
   return Status::Corruption("unknown value type tag ", static_cast<int>(tag));
 }
 
 void EncodeTuple(const Tuple& t, Encoder* enc) {
-  enc->PutU32(static_cast<uint32_t>(t.size()));
+  enc->PutVarint(t.size());
   for (const Value& v : t.values()) EncodeValue(v, enc);
 }
 
 Result<Tuple> DecodeTuple(Decoder* dec) {
-  TS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  TS_ASSIGN_OR_RETURN(uint64_t n, dec->GetVarint());
+  // Every value takes at least its tag byte: a larger count is corrupt, and
+  // must not size the reservation below.
+  if (n > dec->remaining()) {
+    return Status::Corruption("tuple claims ", n, " values in ",
+                              dec->remaining(), " bytes");
+  }
   std::vector<Value> values;
   values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n; ++i) {
     TS_ASSIGN_OR_RETURN(Value v, DecodeValue(dec));
     values.push_back(std::move(v));
   }
   return Tuple(std::move(values));
-}
-
-void EncodeElement(const Element& e, Encoder* enc) {
-  enc->PutU64(e.element_surrogate);
-  enc->PutU64(e.object_surrogate);
-  enc->PutTimePoint(e.tt_begin);
-  enc->PutTimePoint(e.tt_end);
-  enc->PutU8(e.valid.is_event() ? 0 : 1);
-  enc->PutTimePoint(e.valid.begin());
-  enc->PutTimePoint(e.valid.end());
-  EncodeTuple(e.attributes, enc);
-}
-
-Result<Element> DecodeElement(Decoder* dec) {
-  Element e;
-  TS_ASSIGN_OR_RETURN(e.element_surrogate, dec->GetU64());
-  TS_ASSIGN_OR_RETURN(e.object_surrogate, dec->GetU64());
-  TS_ASSIGN_OR_RETURN(e.tt_begin, dec->GetTimePoint());
-  TS_ASSIGN_OR_RETURN(e.tt_end, dec->GetTimePoint());
-  TS_ASSIGN_OR_RETURN(uint8_t kind, dec->GetU8());
-  TS_ASSIGN_OR_RETURN(TimePoint vb, dec->GetTimePoint());
-  TS_ASSIGN_OR_RETURN(TimePoint ve, dec->GetTimePoint());
-  if (kind == 0) {
-    e.valid = ValidTime::Event(vb);
-  } else {
-    e.valid = ValidTime::IntervalUnchecked(vb, ve);
-  }
-  TS_ASSIGN_OR_RETURN(e.attributes, DecodeTuple(dec));
-  return e;
 }
 
 uint32_t Crc32(std::string_view data) {

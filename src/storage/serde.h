@@ -1,8 +1,10 @@
 // Binary serialization of model objects for the storage layer.
 //
-// Little-endian, length-prefixed encoding. The format is self-contained per
-// record: a decoder never needs the schema to skip a record, only to
-// interpret attribute values.
+// Integers, times and lengths are LEB128 varints (signed ones zigzag-mapped),
+// so small magnitudes cost one or two bytes; doubles and the fixed-width
+// fields of headers and raw stamp columns are little-endian. The format is
+// self-contained per record: a decoder never needs the schema to skip a
+// record, only to interpret attribute values.
 #ifndef TEMPSPEC_STORAGE_SERDE_H_
 #define TEMPSPEC_STORAGE_SERDE_H_
 
@@ -11,11 +13,13 @@
 #include <string_view>
 
 #include "model/element.h"
+#include "storage/encoding.h"
 #include "util/result.h"
 
 namespace tempspec {
 
-/// \brief Appends fixed-width and length-prefixed fields to a buffer.
+/// \brief Appends fixed-width, varint and length-prefixed fields to a
+/// buffer.
 class Encoder {
  public:
   explicit Encoder(std::string* out) : out_(out) {}
@@ -25,8 +29,10 @@ class Encoder {
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);
-  void PutString(std::string_view s);  // u32 length prefix
-  void PutTimePoint(TimePoint tp) { PutI64(tp.micros()); }
+  void PutTimePoint(TimePoint tp) { PutI64(tp.micros()); }  // 8 bytes
+  void PutVarint(uint64_t v) { ::tempspec::PutVarint(v, out_); }
+  void PutSignedVarint(int64_t v) { PutVarint(ZigZagEncode(v)); }
+  void PutString(std::string_view s);  // varint length prefix
 
  private:
   std::string* out_;
@@ -42,8 +48,10 @@ class Decoder {
   Result<uint64_t> GetU64();
   Result<int64_t> GetI64();
   Result<double> GetDouble();
-  Result<std::string> GetString();
   Result<TimePoint> GetTimePoint();
+  Result<uint64_t> GetVarint() { return ::tempspec::GetVarint(&in_); }
+  Result<int64_t> GetSignedVarint();
+  Result<std::string> GetString();
 
   size_t remaining() const { return in_.size(); }
   bool exhausted() const { return in_.empty(); }
@@ -54,17 +62,14 @@ class Decoder {
   std::string_view in_;
 };
 
-/// \brief Serializes a Value (type tag + payload).
+/// \brief Serializes a Value: a type tag, then ints and times as zigzag
+/// varints, strings with a varint length, doubles as 8 bytes.
 void EncodeValue(const Value& v, Encoder* enc);
 Result<Value> DecodeValue(Decoder* dec);
 
-/// \brief Serializes a Tuple (count + values).
+/// \brief Serializes a Tuple (varint count + values).
 void EncodeTuple(const Tuple& t, Encoder* enc);
 Result<Tuple> DecodeTuple(Decoder* dec);
-
-/// \brief Serializes a full Element.
-void EncodeElement(const Element& e, Encoder* enc);
-Result<Element> DecodeElement(Decoder* dec);
 
 /// \brief CRC32 (IEEE polynomial) used by the WAL to detect torn writes.
 uint32_t Crc32(std::string_view data);

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -13,19 +14,21 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
+#include "storage/encoding.h"
 #include "storage/serde.h"
 #include "util/failpoint.h"
 
 namespace tempspec {
 
 namespace {
-constexpr size_t kRecordHeaderSize = 4 + 4 + 8 + 8;  // len, crc, epoch, lsn
+// Frame: varint body length, u32 CRC of the body, then the body (varint
+// epoch, varint LSN, payload). The header is at most this long.
+constexpr size_t kMaxFrameHeader = 10 + 4;
 }  // namespace
 
-Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(const std::string& path,
-                                                           SyncMode mode,
-                                                           uint32_t sync_every,
-                                                           uint64_t epoch) {
+Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
+    const std::string& path, SyncMode mode, uint32_t sync_every, uint64_t epoch,
+    const RecordFn& on_record) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd < 0) {
     return Status::IOError("cannot open WAL '", path, "': ", std::strerror(errno));
@@ -42,10 +45,9 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(const std::string& pa
   // Bytes already on disk at open are presumed durable.
   wal->file_size_ = static_cast<uint64_t>(st.st_size);
   wal->synced_bytes_ = wal->file_size_;
-  // Scan once to learn the next LSN (replay discards payloads).
-  auto replayed = wal->Replay(
-      [](uint64_t, std::string_view) { return Status::OK(); });
-  TS_RETURN_NOT_OK(replayed.status());
+  // One pass delivers the records and learns the next LSN and the intact
+  // length.
+  TS_RETURN_NOT_OK(wal->Replay(on_record).status());
   // Cut a torn or corrupt tail off the file: appends land at its end, and a
   // record written beyond the damage would be unreachable at every later
   // replay, so an acknowledged write would be lost at the next restart.
@@ -125,19 +127,20 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
   const uint64_t lsn = next_lsn_;
   // The CRC covers the epoch and LSN as well as the payload: recovery
   // routes records by epoch and LSN, so an unprotected header byte would
-  // turn silent corruption into a bogus replay.
-  std::string body;
-  body.reserve(16 + payload.size());
-  Encoder body_enc(&body);
-  body_enc.PutU64(epoch_);
-  body_enc.PutU64(lsn);
-  body.append(payload.data(), payload.size());
-  std::string record;
-  record.reserve(kRecordHeaderSize + payload.size());
-  Encoder enc(&record);
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(body));
-  record += body;
+  // turn silent corruption into a bogus replay. The frame is built in one
+  // reused buffer, the CRC patched in once the body is in place.
+  std::string& record = frame_;
+  record.clear();
+  PutVarint(VarintSize(epoch_) + VarintSize(lsn) + payload.size(), &record);
+  const size_t crc_at = record.size();
+  record.append(4, '\0');
+  PutVarint(epoch_, &record);
+  PutVarint(lsn, &record);
+  record.append(payload.data(), payload.size());
+  const uint32_t crc = Crc32(std::string_view(record).substr(crc_at + 4));
+  for (int i = 0; i < 4; ++i) {
+    record[crc_at + i] = static_cast<char>(crc >> (8 * i));
+  }
 
   Status st = Status::OK();
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
@@ -195,8 +198,7 @@ Status WriteAheadLog::Sync() {
   return st;
 }
 
-Result<uint64_t> WriteAheadLog::Replay(
-    const std::function<Status(uint64_t, std::string_view)>& fn) {
+Result<uint64_t> WriteAheadLog::Replay(const RecordFn& fn) {
   // Read via a separate descriptor so the append offset is untouched.
   const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -216,6 +218,7 @@ Result<uint64_t> WriteAheadLog::Replay(
   std::string window(kReplayWindowBytes, '\0');
   size_t begin = 0;  // window[begin, end) holds the unparsed bytes read so far
   size_t end = 0;
+  uint64_t read_bytes = 0;
   // Makes `need` bytes available at window[begin]; false when the file ends
   // (or a read fails) first.
   const auto fill = [&](size_t need) {
@@ -230,6 +233,7 @@ Result<uint64_t> WriteAheadLog::Replay(
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return false;
       end += static_cast<size_t>(n);
+      read_bytes += static_cast<uint64_t>(n);
     }
     return true;
   };
@@ -239,24 +243,38 @@ Result<uint64_t> WriteAheadLog::Replay(
   uint64_t max_lsn_seen = next_lsn_ == 0 ? 0 : next_lsn_ - 1;
   bool any = next_lsn_ > 0;
   Status status = Status::OK();
-  while (fill(kRecordHeaderSize)) {
-    Decoder dec(std::string_view(window.data() + begin, kRecordHeaderSize));
-    const uint32_t len = dec.GetU32().ValueOrDie();
-    const uint32_t crc = dec.GetU32().ValueOrDie();
-    const uint64_t epoch = dec.GetU64().ValueOrDie();
-    const uint64_t lsn = dec.GetU64().ValueOrDie();
-    const size_t record_bytes = kRecordHeaderSize + len;
-    // Torn tail. The length is checked against the file before any read, so
-    // a corrupt length cannot grow the window.
-    if (pos + record_bytes > file_bytes || !fill(record_bytes)) break;
-    const std::string_view body(window.data() + begin + 8,
-                                16 + len);  // epoch+lsn+payload
+  while (pos < file_bytes) {
+    const size_t head = static_cast<size_t>(
+        std::min<uint64_t>(kMaxFrameHeader, file_bytes - pos));
+    if (!fill(head)) break;
+    std::string_view header(window.data() + begin, head);
+    const Result<uint64_t> body_len = GetVarint(&header);
+    // Torn or corrupt tail: a length that never ends, or no room for the
+    // CRC. The length is checked against the file before any read, so a
+    // corrupt length cannot grow the window.
+    if (!body_len.ok() || header.size() < 4) break;
+    const size_t header_bytes = head - header.size() + 4;
+    if (body_len.ValueOrDie() > file_bytes - pos - header_bytes) break;
+    const size_t record_bytes =
+        header_bytes + static_cast<size_t>(body_len.ValueOrDie());
+    if (!fill(record_bytes)) break;
+    const char* frame = window.data() + begin;
+    uint32_t crc = 0;
+    for (int i = 0; i < 4; ++i) {
+      crc |= static_cast<uint32_t>(
+                 static_cast<uint8_t>(frame[header_bytes - 4 + i]))
+             << (8 * i);
+    }
+    std::string_view body(frame + header_bytes, record_bytes - header_bytes);
     if (Crc32(body) != crc) break;  // corrupt tail
-    if (epoch == epoch_) {
-      status = fn(lsn, body.substr(16));
+    const Result<uint64_t> epoch = GetVarint(&body);
+    const Result<uint64_t> lsn = GetVarint(&body);
+    if (!epoch.ok() || !lsn.ok()) break;  // not a frame this log wrote
+    if (epoch.ValueOrDie() == epoch_) {
+      if (fn) status = fn(lsn.ValueOrDie(), body);
       if (!status.ok()) break;
-      if (!any || lsn > max_lsn_seen) {
-        max_lsn_seen = lsn;
+      if (!any || lsn.ValueOrDie() > max_lsn_seen) {
+        max_lsn_seen = lsn.ValueOrDie();
         any = true;
       }
       ++count;
@@ -267,6 +285,7 @@ Result<uint64_t> WriteAheadLog::Replay(
     begin += record_bytes;
     pos += record_bytes;
   }
+  TS_COUNTER_ADD("storage.wal.replay_bytes", read_bytes);
   ::close(fd);
   TS_RETURN_NOT_OK(status);
   if (any) next_lsn_ = max_lsn_seen + 1;

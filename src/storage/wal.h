@@ -1,9 +1,12 @@
 // Write-ahead log: durable, CRC-guarded, append-only record stream.
 //
 // The backlog store writes every operation here before applying it; recovery
-// replays the log. A torn tail (partial record, CRC mismatch) terminates
-// replay cleanly — standard crash semantics — and Open() cuts it off the
-// file, so later appends stay reachable.
+// replays the log. A record is framed as a varint body length, a CRC32 of
+// the body, then the body: varint epoch, varint LSN, payload. A torn tail
+// (partial record, CRC mismatch) terminates replay cleanly — standard crash
+// semantics — and Open() cuts it off the file, so later appends stay
+// reachable. Open() reads the file once: the same pass that finds the tail
+// hands the records to the caller.
 //
 // Fault model (exercised by tests/storage/crash_recovery_test.cc through the
 // failpoint seam in util/failpoint.h):
@@ -48,13 +51,20 @@ class WriteAheadLog {
   /// record longer than the window grows it to that record's size.
   static constexpr size_t kReplayWindowBytes = 64 * 1024;
 
-  /// \brief Opens the log. `epoch` selects which generation of records
-  /// Replay() delivers (the backlog store passes the epoch recovered from
-  /// its page-file header).
+  /// \brief Receives one replayed record. `payload` is valid only during the
+  /// call: records are parsed out of a reused read window.
+  using RecordFn = std::function<Status(uint64_t lsn, std::string_view payload)>;
+
+  /// \brief Opens the log, replaying its intact records of `epoch` to
+  /// `on_record` and cutting a torn tail off the file before returning.
+  /// `epoch` selects which generation of records replay delivers (the
+  /// backlog store passes the epoch recovered from its page-file header). A
+  /// callback error fails the open.
   static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
                                                      SyncMode mode = SyncMode::kNone,
                                                      uint32_t sync_every = 64,
-                                                     uint64_t epoch = 0);
+                                                     uint64_t epoch = 0,
+                                                     const RecordFn& on_record = {});
 
   ~WriteAheadLog();
   WriteAheadLog(const WriteAheadLog&) = delete;
@@ -69,10 +79,8 @@ class WriteAheadLog {
   /// \brief Replays all intact records of the current epoch from the
   /// beginning; records of other epochs (a superseded generation whose
   /// Reset never became durable) are skipped. Returns the number of records
-  /// delivered. `payload` is valid only during its call: records are parsed
-  /// out of a reused read window.
-  Result<uint64_t> Replay(
-      const std::function<Status(uint64_t lsn, std::string_view payload)>& fn);
+  /// delivered (to `fn`, when it is set).
+  Result<uint64_t> Replay(const RecordFn& fn);
 
   /// \brief Discards the log contents (after a checkpoint has persisted
   /// everything elsewhere). The truncation is made durable: the file and
@@ -117,6 +125,7 @@ class WriteAheadLog {
   uint64_t file_size_ = 0;    // current file length in bytes
   uint64_t synced_bytes_ = 0; // durable watermark (<= file_size_)
   uint64_t intact_bytes_ = 0; // end of the last intact record at replay
+  std::string frame_;         // Append's reused frame buffer
 };
 
 }  // namespace tempspec

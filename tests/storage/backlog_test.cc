@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/serde.h"
@@ -66,6 +67,31 @@ TEST(BacklogEntryTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back2.target, 3u);
 
   EXPECT_TRUE(BacklogEntry::Decode("\x09garbage").status().IsCorruption());
+}
+
+TEST(BacklogEntryTest, GeneralEventsInsertTakesAtMost40WalBytes) {
+  // The shape of the benchmark's general_events preload near its end: the
+  // 200 000th insert on the default one-second logical clock, valid time up
+  // to two hours from transaction time, attributes (object, amount), at a
+  // WAL position past 340 000 records. The fixed-width v3 format wrote 104
+  // bytes for it.
+  BacklogEntry ins = Insert(200'000, 200'000, 200'000 - 7'193);
+  ins.element.object_surrogate = 16;
+  ins.element.attributes = Tuple{int64_t{16}, 89.99};
+  // The same insert on a microsecond wall clock: stamps are no longer whole
+  // seconds, tt_begin takes 8 bytes and the valid-time offset 5.
+  BacklogEntry wall = ins;
+  wall.tt = wall.element.tt_begin =
+      TimePoint::FromMicros(1'790'000'000'123'456);
+  wall.element.valid = ValidTime::Event(
+      TimePoint::FromMicros(1'790'000'000'123'456 - 7'193'654'321));
+  for (const BacklogEntry* entry : {&ins, &wall}) {
+    TempDir dir;
+    ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(dir.path() + "/wal"));
+    wal->SetNextLsn(340'000);
+    ASSERT_OK(wal->Append(entry->Encode()).status());
+    EXPECT_LE(wal->bytes_written(), 40u) << entry->element.tt_begin.ToString();
+  }
 }
 
 TEST(BacklogTest, MaterializeAndReconstructReplayAnOperationList) {
@@ -287,37 +313,65 @@ TEST(BacklogStoreTest, LargeElementsSpanPages) {
 }
 
 TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
+  // Rewrite the header as an older format version, magic intact. Reopen
+  // must refuse loudly: a silent "recovery" would discard the data, since
+  // v1/v2 records carry no CRC prefixes and v3 records are fixed-width, and
+  // every scan would fail on them.
+  for (const uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    TempDir dir;
+    BacklogStore::Options options;
+    options.directory = dir.path();
+    {
+      ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+      ASSERT_OK(AppendOp(store.get(), Insert(10, 1, 5)));
+      ASSERT_OK(store->Checkpoint());
+    }
+    {
+      ASSERT_OK_AND_ASSIGN(auto disk,
+                           DiskManager::Open(dir.path() + "/backlog.pages"));
+      Page page;
+      SlottedPage sp(&page);
+      sp.Init();
+      std::string meta;
+      Encoder enc(&meta);
+      enc.PutU32(0x544C4B42u);  // backlog magic
+      enc.PutU32(version);
+      enc.PutU64(1u);  // v1: entry count; v3: epoch
+      ASSERT_OK(sp.Insert(meta).status());
+      ASSERT_OK(disk->WritePage(0, page));
+      ASSERT_OK(disk->Sync());
+    }
+    auto reopened = BacklogStore::Open(options);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_TRUE(reopened.status().IsCorruption());
+    EXPECT_NE(reopened.status().ToString().find(
+                  "version " + std::to_string(version)),
+              std::string::npos)
+        << reopened.status().ToString();
+  }
+}
+
+TEST(BacklogStoreTest, OpenReadsTheWalOnce) {
+  // Recovery finds the WAL's torn tail and replays its records in the same
+  // pass: the bytes read equal the file's size.
+  if (!MetricsCompiledIn()) GTEST_SKIP() << "metrics compiled out";
   TempDir dir;
   BacklogStore::Options options;
   options.directory = dir.path();
   {
     ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
-    ASSERT_OK(AppendOp(store.get(), Insert(10, 1, 5)));
-    ASSERT_OK(store->Checkpoint());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_OK(AppendOp(store.get(), Insert(10 + i, i + 1, i)));
+    }
   }
-  // Rewrite the header as an older format version: magic intact, version 1.
-  // Reopen must refuse loudly — a silent "recovery" would discard the data,
-  // since pre-v3 records carry no CRC prefixes and fail every scan.
-  {
-    ASSERT_OK_AND_ASSIGN(auto disk,
-                         DiskManager::Open(dir.path() + "/backlog.pages"));
-    Page page;
-    SlottedPage sp(&page);
-    sp.Init();
-    std::string meta;
-    Encoder enc(&meta);
-    enc.PutU32(0x544C4B42u);  // backlog magic
-    enc.PutU32(1u);           // format version 1
-    enc.PutU64(1u);           // v1-style entry count
-    ASSERT_OK(sp.Insert(meta).status());
-    ASSERT_OK(disk->WritePage(0, page));
-    ASSERT_OK(disk->Sync());
-  }
-  auto reopened = BacklogStore::Open(options);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsCorruption());
-  EXPECT_NE(reopened.status().ToString().find("version"), std::string::npos)
-      << reopened.status().ToString();
+  MetricCounter& read = MetricsRegistry::Instance().GetCounter(
+      "storage.wal.replay_bytes");
+  const uint64_t before = read.Value();
+  ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+  EXPECT_EQ(store->size(), 100u);
+  EXPECT_EQ(read.Value() - before,
+            std::filesystem::file_size(dir.path() + "/backlog.wal"));
 }
 
 TEST(BacklogStoreTest, ReplaceAllSurvivesReopenAndBumpsEpoch) {

@@ -28,6 +28,38 @@ TEST(VarintTest, TruncatedDetected) {
   EXPECT_TRUE(GetVarint(&view).status().IsCorruption());
 }
 
+TEST(VarintTest, OverlongIsCorruptionNotTruncatedBits) {
+  // Ten bytes carry 64 bits only when the tenth is 0 or 1.
+  std::string max(9, '\xFF');
+  max += '\x01';
+  std::string_view view = max;
+  EXPECT_EQ(GetVarint(&view).ValueOrDie(), ~0ull);
+  for (const char tenth : {'\x02', '\x7F', '\x81'}) {
+    std::string bad(9, '\x80');
+    bad += tenth;
+    bad += '\x00';  // a terminator after a continued tenth byte
+    std::string_view in = bad;
+    const Status st = GetVarint(&in).status();
+    EXPECT_TRUE(st.IsCorruption()) << static_cast<int>(tenth);
+    EXPECT_NE(st.ToString().find("overflows 64 bits"), std::string::npos)
+        << st.ToString();
+  }
+  // No terminator within ten bytes at all.
+  const std::string endless(16, '\x80');
+  std::string_view in = endless;
+  const Status st = GetVarint(&in).status();
+  EXPECT_NE(st.ToString().find("overflows 64 bits"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(VarintTest, SizeMatchesTheEncoding) {
+  for (uint64_t v : {0ull, 127ull, 128ull, 16383ull, 16384ull, ~0ull}) {
+    std::string buf;
+    PutVarint(v, &buf);
+    EXPECT_EQ(VarintSize(v), buf.size()) << v;
+  }
+}
+
 TEST(ZigZagTest, RoundTrip) {
   for (int64_t v : {0ll, 1ll, -1ll, 63ll, -64ll, 1ll << 40, -(1ll << 40)}) {
     EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);

@@ -13,6 +13,7 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/encoding.h"
 #include "storage/serde.h"
 #include "storage/wal.h"
 #include "testing.h"
@@ -202,7 +203,9 @@ TEST(WalTest, CorruptPayloadDetectedByCrc) {
   {
     FILE* f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    std::fseek(f, 26, SEEK_SET);  // inside the payload (24-byte header)
+    // Inside the payload: the frame header is a 1-byte length, the 4-byte
+    // CRC, a 1-byte epoch and a 1-byte LSN.
+    std::fseek(f, 9, SEEK_SET);
     std::fputc('X', f);
     std::fclose(f);
   }
@@ -256,29 +259,40 @@ TEST(WalTest, ResetClearsContentsButKeepsLsns) {
 
 // --- Windowed replay -------------------------------------------------------
 // Replay parses records out of a fixed read window. These tests place the
-// window's first boundary inside a header's length field, inside its CRC and
-// inside a payload, add a record larger than the window, then cut the file
-// at every byte offset around those points: Replay must deliver what a
-// whole-file decode delivers, and Open must cut the tail at the same byte.
+// window's first boundary inside a header's length field, inside its CRC,
+// at its LSN and inside a payload, add a record larger than the window,
+// then cut the file at every byte offset around those points: Replay must
+// deliver what a whole-file decode delivers, and Open must cut the tail at
+// the same byte.
 
 using WalRecords = std::vector<std::pair<uint64_t, std::string>>;
 
-constexpr size_t kWalHeaderBytes = 24;  // len, crc, epoch, lsn
+/// Bytes of the frame that holds a `payload_size`-byte payload at `lsn`
+/// (epoch 0): varint body length, CRC, varint epoch, varint LSN, payload.
+size_t FrameBytes(size_t payload_size, uint64_t lsn) {
+  const size_t body = VarintSize(0) + VarintSize(lsn) + payload_size;
+  return VarintSize(body) + 4 + body;
+}
 
 /// Decodes a whole log image the straightforward way (the reference).
 WalRecords ReferenceDecode(const std::string& bytes, uint64_t* intact) {
   WalRecords records;
   size_t pos = 0;
-  while (pos + kWalHeaderBytes <= bytes.size()) {
-    Decoder dec(std::string_view(bytes).substr(pos, kWalHeaderBytes));
-    const uint32_t len = dec.GetU32().ValueOrDie();
-    const uint32_t crc = dec.GetU32().ValueOrDie();
-    dec.GetU64().ValueOrDie();  // epoch: every record here is epoch 0
-    const uint64_t lsn = dec.GetU64().ValueOrDie();
-    if (pos + kWalHeaderBytes + len > bytes.size()) break;
-    if (Crc32(std::string_view(bytes).substr(pos + 8, 16 + len)) != crc) break;
-    records.emplace_back(lsn, bytes.substr(pos + kWalHeaderBytes, len));
-    pos += kWalHeaderBytes + len;
+  while (pos < bytes.size()) {
+    std::string_view rest = std::string_view(bytes).substr(pos);
+    const auto len = GetVarint(&rest);
+    if (!len.ok() || rest.size() < 4) break;
+    Decoder crc_dec(rest.substr(0, 4));
+    const uint32_t crc = crc_dec.GetU32().ValueOrDie();
+    rest.remove_prefix(4);
+    if (len.ValueOrDie() > rest.size()) break;
+    std::string_view body = rest.substr(0, len.ValueOrDie());
+    if (Crc32(body) != crc) break;
+    const size_t frame = bytes.size() - pos - rest.size() + body.size();
+    GetVarint(&body).ValueOrDie();  // epoch: every record here is epoch 0
+    const uint64_t lsn = GetVarint(&body).ValueOrDie();
+    records.emplace_back(lsn, std::string(body));
+    pos += frame;
   }
   *intact = pos;
   return records;
@@ -337,16 +351,21 @@ void CheckCutsAround(const TempDir& dir, const std::string& full,
 
 TEST(WalTest, WindowBoundaryInsideAHeaderOrPayload) {
   constexpr size_t kWindow = WriteAheadLog::kReplayWindowBytes;
-  // The second record's header starts `offset` bytes before the boundary:
-  // 2 puts the boundary in its length field, 6 in its CRC, 34 ten bytes
-  // into its payload.
-  for (const size_t offset : {size_t{2}, size_t{6}, size_t{34}}) {
+  // The second record's header starts `offset` bytes before the boundary.
+  // Its 200-byte payload takes a 2-byte length, so 1 puts the boundary in
+  // its length field, 4 in its CRC, 7 at its LSN and 18 ten bytes into its
+  // payload.
+  for (const size_t offset : {size_t{1}, size_t{4}, size_t{7}, size_t{18}}) {
     SCOPED_TRACE("second header starts " + std::to_string(offset) +
                  " bytes before the window boundary");
     TempDir dir;
-    const std::string full = BuildLog(
-        dir.file("wal"), {kWindow - kWalHeaderBytes - offset, 100, 100, 3});
-    ASSERT_EQ(full.size(), kWindow - offset + 3 * kWalHeaderBytes + 203);
+    // The first frame's header: a 3-byte length, CRC, epoch and LSN.
+    const size_t first = kWindow - offset - (3 + 4 + 1 + 1);
+    ASSERT_EQ(FrameBytes(first, 0), kWindow - offset);
+    const std::string full =
+        BuildLog(dir.file("wal"), {first, 200, 200, 3});
+    ASSERT_EQ(full.size(), kWindow - offset + FrameBytes(200, 1) +
+                               FrameBytes(200, 2) + FrameBytes(3, 3));
     CheckCutsAround(dir, full, kWindow, 40);
     CheckCutsAround(dir, full, full.size() - 40, 40);  // through the end
   }
@@ -357,29 +376,54 @@ TEST(WalTest, RecordLargerThanTheWindowReplays) {
   TempDir dir;
   const std::vector<size_t> sizes = {10, 2 * kWindow + 123, 10};
   const std::string full = BuildLog(dir.file("wal"), sizes);
-  const size_t big_end = 2 * kWalHeaderBytes + sizes[0] + sizes[1];
+  const size_t big_end = FrameBytes(sizes[0], 0) + FrameBytes(sizes[1], 1);
   CheckCutsAround(dir, full, kWindow, 30);
   CheckCutsAround(dir, full, big_end, 30);
 }
 
 TEST(WalTest, CorruptLengthAtTheTailIsCutNotRead) {
   // A torn header claiming a ~4 GiB record: replay must stop at it (and
-  // Open cut it off) without trying to read or allocate the record.
+  // Open cut it off) without trying to read or allocate the record. The
+  // same holds for a length near 2^64 and for one that overflows 64 bits.
+  std::string overlong(11, '\xFF');
+  overlong += '\x01';
+  std::string near_max;
+  PutVarint(~0ull, &near_max);
+  std::string four_gib;
+  PutVarint(0xFFFFFFF0u, &four_gib);
+  for (const std::string& length : {four_gib, near_max, overlong}) {
+    SCOPED_TRACE(std::to_string(length.size()) + "-byte length field");
+    TempDir dir;
+    const std::string path = dir.file("wal");
+    std::string image = BuildLog(path, {50, 50});
+    const size_t intact_size = image.size();
+    std::string header = length;
+    Encoder enc(&header);
+    enc.PutU32(0);  // CRC
+    enc.PutVarint(0);  // epoch
+    enc.PutVarint(2);  // LSN
+    image += header + "tail";
+    WriteFileBytes(path, image);
+    ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(path));
+    EXPECT_EQ(std::filesystem::file_size(path), intact_size);
+    EXPECT_EQ(wal->next_lsn(), 2u);
+  }
+}
+
+TEST(WalTest, AppendFramesEachRecordCompactly) {
+  // A 3-byte payload at LSN 300 under epoch 1: a 1-byte length, the CRC, a
+  // 1-byte epoch and a 2-byte LSN.
   TempDir dir;
-  const std::string path = dir.file("wal");
-  std::string image = BuildLog(path, {50, 50});
-  const size_t intact_size = image.size();
-  std::string header;
-  Encoder enc(&header);
-  enc.PutU32(0xFFFFFFF0u);
-  enc.PutU32(0);
-  enc.PutU64(0);
-  enc.PutU64(2);
-  image += header + "tail";
-  WriteFileBytes(path, image);
-  ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(path));
-  EXPECT_EQ(std::filesystem::file_size(path), intact_size);
-  EXPECT_EQ(wal->next_lsn(), 2u);
+  ASSERT_OK_AND_ASSIGN(auto wal, WriteAheadLog::Open(dir.file("wal"),
+                                                     SyncMode::kNone, 64,
+                                                     /*epoch=*/1));
+  wal->SetNextLsn(300);
+  ASSERT_OK(wal->Append("abc").status());
+  EXPECT_EQ(wal->bytes_written(), 1u + 4u + 1u + 2u + 3u);
+  const std::string bytes = ReadFileBytes(dir.file("wal"));
+  ASSERT_EQ(bytes.size(), 11u);
+  EXPECT_EQ(bytes[0], 6);  // body: epoch, LSN, payload
+  EXPECT_EQ(bytes.substr(5), std::string("\x01\xAC\x02" "abc"));
 }
 
 }  // namespace
