@@ -1,6 +1,6 @@
 #include "model/value.h"
 
-#include <sstream>
+#include <charconv>
 
 namespace tempspec {
 
@@ -31,9 +31,10 @@ std::string Value::ToString() const {
     case ValueType::kInt64:
       return std::to_string(AsInt64());
     case ValueType::kDouble: {
-      std::ostringstream ss;
-      ss << AsDouble();
-      return ss.str();
+      // The shortest text that parses back to the same bits.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), AsDouble()).ptr;
+      return std::string(buf, end);
     }
     case ValueType::kString:
       return "'" + AsString() + "'";

@@ -26,7 +26,6 @@ const char* FlightCategoryToString(FlightCategory category) {
   switch (category) {
     case FlightCategory::kWal: return "wal";
     case FlightCategory::kPage: return "page";
-    case FlightCategory::kBufferPool: return "buffer_pool";
     case FlightCategory::kCheckpoint: return "checkpoint";
     case FlightCategory::kRecovery: return "recovery";
     case FlightCategory::kCompaction: return "compaction";
@@ -47,7 +46,6 @@ const char* FlightCodeToString(FlightCode code) {
     case FlightCode::kPageRead: return "page.read";
     case FlightCode::kPageWrite: return "page.write";
     case FlightCode::kDiskSync: return "disk.sync";
-    case FlightCode::kEviction: return "buffer_pool.evict";
     case FlightCode::kCheckpointBegin: return "checkpoint.begin";
     case FlightCode::kCheckpointEnd: return "checkpoint.end";
     case FlightCode::kRecoveryBegin: return "recovery.begin";

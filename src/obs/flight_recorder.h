@@ -1,8 +1,8 @@
 // Black-box flight recorder: a lock-free, fixed-memory ring of structured
 // events recorded from the storage stack (WAL append/sync/reset, page IO,
-// checkpoint, recovery, compaction, buffer-pool eviction), the fault layer
-// (every failpoint fire), and the decision layer (optimizer plan choice,
-// drift verdict transitions, advisor notes).
+// checkpoint, recovery, compaction), the fault layer (every failpoint fire),
+// and the decision layer (optimizer plan choice, drift verdict transitions,
+// advisor notes).
 //
 // The metrics registry answers "how many"; EXPLAIN ANALYZE answers "what did
 // *this query* do". Neither answers "what was the engine doing just before
@@ -48,7 +48,6 @@ bool FlightRecorderCompiledIn();
 enum class FlightCategory : uint8_t {
   kWal = 0,
   kPage,
-  kBufferPool,
   kCheckpoint,
   kRecovery,
   kCompaction,
@@ -69,7 +68,6 @@ enum class FlightCode : uint8_t {
   kPageRead,        // arg0 = page id
   kPageWrite,       // arg0 = page id, arg1 = bytes written
   kDiskSync,        // page-file fsync completed
-  kEviction,        // arg0 = evicted page id, arg1 = 1 if it was dirty
   kCheckpointBegin, // arg0 = ops pending persistence, arg1 = total ops
   kCheckpointEnd,   // arg0 = ops now persisted
   kRecoveryBegin,

@@ -4,7 +4,7 @@
 // selecting appropriate storage structures, indexing techniques, and query
 // processing strategies" — is only testable if the engine can *show* that a
 // chosen strategy did less work. This registry is the evidence channel: the
-// storage stack counts buffer-pool hits and WAL syncs, the execution engine
+// storage stack counts WAL syncs and checkpoints, the execution engine
 // counts per-strategy queries and elements examined, and the advisor counts
 // which strategy it recommends per specialization. Benches and EXPLAIN
 // ANALYZE scrape a consistent snapshot.

@@ -4,8 +4,8 @@
 // or, since the flight-recorder PR, created locally by background work
 // (recovery, checkpoint, compaction, vacuum) — and records what the metrics
 // registry can only aggregate: which plan the optimizer chose for *this*
-// query, how many elements it examined vs returned, how many buffer-pool
-// pages it touched, and how long each stage took. query_lang's EXPLAIN
+// query, how many elements it examined vs returned, and how long each
+// stage took. query_lang's EXPLAIN
 // ANALYZE surfaces the span as single-line JSON; completed spans are also
 // sampled into the RetainedTraces ring below, so recent spans survive after
 // the query returns and are joinable from slowlog entries by trace id.

@@ -64,8 +64,8 @@ class StatsTimer {
 /// compiled in), a scope-local QueryStats collects the counters instead.
 class QueryScope {
  public:
-  QueryScope(const TemporalRelation& relation, TraceContext* trace,
-             const char* span_name, QueryStats* caller_stats)
+  QueryScope(TraceContext* trace, const char* span_name,
+             QueryStats* caller_stats)
       : trace_(trace), span_name_(span_name) {
     if (trace_ != nullptr) trace_->Begin(span_name);
     if (caller_stats != nullptr) {
@@ -73,12 +73,6 @@ class QueryScope {
       baseline_ = *caller_stats;
     } else if (trace_ != nullptr || MetricsCompiledIn()) {
       stats_ = &local_;
-    }
-    if (stats_ != nullptr) {
-      if (const BufferPool* pool = relation.backlog().buffer_pool()) {
-        pool_ = pool;
-        pages_before_ = pool->hits() + pool->misses();
-      }
     }
   }
 
@@ -118,8 +112,6 @@ class QueryScope {
     d.rows_scanned -= baseline_.rows_scanned;
     d.rows_matched -= baseline_.rows_matched;
     d.scan_aborts -= baseline_.scan_aborts;
-    const uint64_t pages_touched =
-        pool_ == nullptr ? 0 : pool_->hits() + pool_->misses() - pages_before_;
 
     if (trace_ != nullptr) {
       if (strategy_token_ != nullptr) {
@@ -136,7 +128,6 @@ class QueryScope {
       trace_->AddCounter("cpu_micros", d.cpu_micros);
       trace_->AddCounter("rows_scanned", d.rows_scanned);
       trace_->AddCounter("rows_matched", d.rows_matched);
-      trace_->AddCounter("pages_touched", pages_touched);
       if (d.scan_aborts > 0) {
         trace_->AddCounter("scan_aborts", d.scan_aborts);
         trace_->SetAttr("cancelled", "true");
@@ -172,8 +163,6 @@ class QueryScope {
   QueryStats* stats_ = nullptr;
   QueryStats local_;
   QueryStats baseline_;
-  const BufferPool* pool_ = nullptr;
-  uint64_t pages_before_ = 0;
 };
 
 }  // namespace
@@ -356,7 +345,7 @@ ResultSet QueryExecutor::Execute(const TemporalQuery& query, QueryStats* stats,
   const TimePoint lo = query.lo;
   const TimePoint hi = query.hi;
   const std::optional<TimePoint> as_of = query.as_of;
-  QueryScope scope(relation_, options_.trace, query.SpanName(), stats);
+  QueryScope scope(options_.trace, query.SpanName(), stats);
   scope.SetPlan(plan);
   stats = scope.stats();
   StatsTimer timer(stats);

@@ -183,9 +183,6 @@ Result<std::unique_ptr<BacklogStore>> BacklogStore::Open(
 
   TS_ASSIGN_OR_RETURN(store->disk_,
                       DiskManager::Open(options.directory + "/backlog.pages"));
-  store->buffer_pool_pages_ = options.buffer_pool_pages;
-  store->pool_ = std::make_unique<BufferPool>(store->disk_.get(),
-                                              options.buffer_pool_pages);
   {
     TraceContext::StageScope stage(&span, "page_scan");
     TS_RETURN_NOT_OK(store->RecoverFromPages(on_recovered));
@@ -257,32 +254,32 @@ WriteAheadLog::RecordFn BacklogStore::WalTail(
   };
 }
 
-Status BacklogStore::WriteHeaderPage(BufferPool* pool, uint64_t epoch) {
-  {
-    TS_ASSIGN_OR_RETURN(PageGuard header, pool->Allocate());
-    SlottedPage sp(header.mutable_page());
-    sp.Init();
-    std::string meta;
-    Encoder enc(&meta);
-    enc.PutU32(kBacklogMagic);
-    enc.PutU32(kBacklogVersion);
-    enc.PutU64(epoch);
-    TS_RETURN_NOT_OK(sp.Insert(meta).status());
-  }
-  return pool->FlushAll();
+Status BacklogStore::WriteHeaderPage(DiskManager* disk, uint64_t epoch) {
+  Page header{};
+  SlottedPage sp(&header);
+  sp.Init();
+  std::string meta;
+  Encoder enc(&meta);
+  enc.PutU32(kBacklogMagic);
+  enc.PutU32(kBacklogVersion);
+  enc.PutU64(epoch);
+  TS_RETURN_NOT_OK(sp.Insert(meta).status());
+  TS_RETURN_NOT_OK(disk->AppendPage(header).status());
+  return disk->Sync();
 }
 
 Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
   if (disk_->page_count() == 0) {
     // Fresh file: create and flush the header page, so a process that exits
     // without ever checkpointing still leaves a well-formed file behind.
-    return WriteHeaderPage(pool_.get(), epoch_);
+    return WriteHeaderPage(disk_.get(), epoch_);
   }
 
+  // One page buffer serves the header and every data page in turn.
+  Page page{};
   {
-    TS_ASSIGN_OR_RETURN(PageGuard header, pool_->Fetch(0));
-    Page page_copy = header.page();
-    SlottedPage sp(&page_copy);
+    TS_RETURN_NOT_OK(disk_->ReadPage(0, &page));
+    SlottedPage sp(&page);
     bool header_ok = false;
     if (sp.slot_count() > 0) {
       auto meta = sp.Get(0);
@@ -318,10 +315,8 @@ Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
       if (disk_->page_count() > 1) {
         return Status::Corruption("bad backlog page-file header");
       }
-      header.Release();
-      pool_ = std::make_unique<BufferPool>(disk_.get(), buffer_pool_pages_);
       TS_RETURN_NOT_OK(disk_->Truncate());
-      return WriteHeaderPage(pool_.get(), epoch_);
+      return WriteHeaderPage(disk_.get(), epoch_);
     }
   }
 
@@ -342,32 +337,29 @@ Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
     // replay restores.
     std::vector<std::pair<BacklogEntry, size_t>> records;
     bool damaged = false;
-    {
-      TS_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(id));
-      Page data_copy = guard.page();
-      SlottedPage data(&data_copy);
-      if (data.slot_count() == 0) damaged = true;  // never-completed page
-      for (uint16_t slot = 0; !damaged && slot < data.slot_count(); ++slot) {
-        auto record = data.Get(slot);
-        if (!record.ok() || record.ValueOrDie().size() < 4) {
-          damaged = true;
-          break;
-        }
-        const std::string_view raw = record.ValueOrDie();
-        Decoder dec(raw);
-        const uint32_t crc = dec.GetU32().ValueOrDie();
-        const std::string_view payload = raw.substr(4);
-        if (Crc32(payload) != crc) {
-          damaged = true;
-          break;
-        }
-        auto entry = BacklogEntry::Decode(payload);
-        if (!entry.ok()) {
-          damaged = true;
-          break;
-        }
-        records.emplace_back(std::move(entry).ValueOrDie(), payload.size());
+    TS_RETURN_NOT_OK(disk_->ReadPage(id, &page));
+    SlottedPage data(&page);
+    if (data.slot_count() == 0) damaged = true;  // never-completed page
+    for (uint16_t slot = 0; !damaged && slot < data.slot_count(); ++slot) {
+      auto record = data.Get(slot);
+      if (!record.ok() || record.ValueOrDie().size() < 4) {
+        damaged = true;
+        break;
       }
+      const std::string_view raw = record.ValueOrDie();
+      Decoder dec(raw);
+      const uint32_t crc = dec.GetU32().ValueOrDie();
+      const std::string_view payload = raw.substr(4);
+      if (Crc32(payload) != crc) {
+        damaged = true;
+        break;
+      }
+      auto entry = BacklogEntry::Decode(payload);
+      if (!entry.ok()) {
+        damaged = true;
+        break;
+      }
+      records.emplace_back(std::move(entry).ValueOrDie(), payload.size());
     }
     if (damaged) {
       keep_pages = id;
@@ -380,7 +372,6 @@ Status BacklogStore::RecoverFromPages(const BacklogVisitor& visitor) {
   if (keep_pages < disk_->page_count()) {
     TS_FLIGHT(FlightCategory::kRecovery, FlightCode::kRecoveryQuarantine,
               keep_pages, disk_->page_count() - keep_pages, "");
-    pool_ = std::make_unique<BufferPool>(disk_.get(), buffer_pool_pages_);
     TS_RETURN_NOT_OK(disk_->TruncateToPages(keep_pages));
   }
   persisted_entries_ = size_;
@@ -476,35 +467,32 @@ std::vector<BacklogEntry> OperationsOf(std::span<const Element> elements) {
   return ops;
 }
 
-Status BacklogStore::PersistPayloads(BufferPool* pool,
+Status BacklogStore::PersistPayloads(DiskManager* disk,
                                      const std::vector<std::string>& payloads) {
-  // Always start the batch on a fresh page: the tail page of the previous
-  // checkpoint holds records the WAL no longer covers, and a torn in-place
-  // rewrite of that page would destroy durable data.
-  PageId current = kInvalidPageId;
+  // The batch starts on a fresh page and every page is appended whole: the
+  // tail page of the previous checkpoint holds records the WAL no longer
+  // covers, and a torn rewrite of it would destroy durable data.
+  Page page{};
+  SlottedPage sp(&page);
+  bool filling = false;
+  std::string record;
   for (const std::string& payload : payloads) {
-    std::string record;
+    record.clear();
     Encoder enc(&record);
     enc.PutU32(Crc32(payload));
     record += payload;
-    bool stored = false;
-    if (current != kInvalidPageId) {
-      TS_ASSIGN_OR_RETURN(PageGuard guard, pool->Fetch(current));
-      SlottedPage sp(guard.mutable_page());
-      if (sp.Fits(record.size())) {
-        TS_RETURN_NOT_OK(sp.Insert(record).status());
-        stored = true;
-      }
+    if (filling && !sp.Fits(record.size())) {
+      TS_RETURN_NOT_OK(disk->AppendPage(page).status());
+      filling = false;
     }
-    if (!stored) {
-      TS_ASSIGN_OR_RETURN(PageGuard guard, pool->Allocate());
-      SlottedPage sp(guard.mutable_page());
+    if (!filling) {
       sp.Init();
-      TS_RETURN_NOT_OK(sp.Insert(record).status());
-      current = guard.id();
+      filling = true;
     }
+    TS_RETURN_NOT_OK(sp.Insert(record).status());
   }
-  return Status::OK();
+  if (filling) TS_RETURN_NOT_OK(disk->AppendPage(page).status());
+  return disk->Sync();
 }
 
 Status BacklogStore::CheckpointInternal(TraceContext* trace) {
@@ -532,8 +520,7 @@ Status BacklogStore::CheckpointInternal(TraceContext* trace) {
   // 2. Persist the batch onto fresh pages and make them durable.
   {
     TraceContext::StageScope stage(trace, "persist");
-    TS_RETURN_NOT_OK(PersistPayloads(pool_.get(), payloads));
-    TS_RETURN_NOT_OK(pool_->FlushAll());
+    TS_RETURN_NOT_OK(PersistPayloads(disk_.get(), payloads));
   }
   // 3. Only now discard the WAL (truncate + fsync file and directory).
   {
@@ -611,7 +598,6 @@ Status BacklogStore::ReplaceAll(const std::vector<BacklogEntry>& entries,
   const uint64_t new_epoch = epoch_ + 1;
   Status st = [&]() -> Status {
     std::unique_ptr<DiskManager> side;
-    std::unique_ptr<BufferPool> side_pool;
     {
       TraceContext::StageScope stage(trace, "side_build");
       TS_ASSIGN_OR_RETURN(side, DiskManager::Open(disk_->path() + ".compact"));
@@ -619,10 +605,8 @@ Status BacklogStore::ReplaceAll(const std::vector<BacklogEntry>& entries,
         // Leftover from a compaction that crashed before its rename.
         TS_RETURN_NOT_OK(side->Truncate());
       }
-      side_pool = std::make_unique<BufferPool>(side.get(), buffer_pool_pages_);
-      TS_RETURN_NOT_OK(WriteHeaderPage(side_pool.get(), new_epoch));
-      TS_RETURN_NOT_OK(PersistPayloads(side_pool.get(), payloads));
-      TS_RETURN_NOT_OK(side_pool->FlushAll());
+      TS_RETURN_NOT_OK(WriteHeaderPage(side.get(), new_epoch));
+      TS_RETURN_NOT_OK(PersistPayloads(side.get(), payloads));
     }
     {
       TraceContext::StageScope stage(trace, "rename");
@@ -630,9 +614,8 @@ Status BacklogStore::ReplaceAll(const std::vector<BacklogEntry>& entries,
     }
     TS_FLIGHT(FlightCategory::kCompaction, FlightCode::kCompactionRename,
               new_epoch, 0, "");
-    // The rename is the commit point: adopt the new generation (the old
-    // pool's frames reference the unlinked old file) and discard the WAL.
-    pool_ = std::move(side_pool);
+    // The rename is the commit point: adopt the new generation and discard
+    // the WAL.
     disk_ = std::move(side);
     epoch_ = new_epoch;
     wal_->SetEpoch(new_epoch);

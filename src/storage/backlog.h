@@ -25,7 +25,8 @@
 //     damaged page onward — truncating the file, not just stopping — so a
 //     post-recovery checkpoint can never strand durable batches behind a
 //     still-damaged page.
-//   - Each checkpoint batch starts on a fresh page, so checkpointing never
+//   - The page file is append-only (DiskManager has no in-place write), and
+//     each checkpoint batch starts on a fresh page, so checkpointing never
 //     rewrites a page whose records the WAL no longer covers.
 //   - Checkpoint order: read the batch back from the WAL, persist pages,
 //     fsync, then reset the WAL (truncate + fsync file and directory). A
@@ -53,7 +54,6 @@
 #include <vector>
 
 #include "model/element.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
 #include "util/result.h"
@@ -92,7 +92,6 @@ class BacklogStore {
     std::string directory;
     SyncMode sync_mode = SyncMode::kNone;
     uint32_t sync_every = 64;
-    size_t buffer_pool_pages = 64;
   };
 
   /// \brief Opens a store, streaming every persisted operation to
@@ -123,8 +122,8 @@ class BacklogStore {
   /// \brief Replaces the whole operation history (backlog compaction, used
   /// by vacuuming). Durable stores are rewritten crash-atomically: the new
   /// generation is built in a side file and adopted by rename under a
-  /// bumped epoch. No page guards may be outstanding. An optional trace
-  /// span receives the side_build / rename / wal_reset stage timings.
+  /// bumped epoch. An optional trace span receives the side_build / rename /
+  /// wal_reset stage timings.
   Status ReplaceAll(const std::vector<BacklogEntry>& entries,
                     TraceContext* trace = nullptr);
 
@@ -132,7 +131,6 @@ class BacklogStore {
   uint64_t persisted_entries() const { return persisted_entries_; }
   /// \brief Generation number of the on-disk state; bumped by ReplaceAll.
   uint64_t epoch() const { return epoch_; }
-  const BufferPool* buffer_pool() const { return pool_.get(); }
   /// \brief True once an unrecoverable IO failure turned the store
   /// read-only; reopen from disk to recover.
   bool io_failed() const { return io_failed_; }
@@ -149,12 +147,10 @@ class BacklogStore {
   WriteAheadLog::RecordFn WalTail(
       uint64_t* delivered, std::function<Status(std::string_view payload)> fn);
   Status RecoverFromPages(const BacklogVisitor& visitor);
-  Status WriteHeaderPage(BufferPool* pool, uint64_t epoch);
+  static Status WriteHeaderPage(DiskManager* disk, uint64_t epoch);
   Status CheckpointInternal(TraceContext* trace);
-  static Status PersistPayloads(BufferPool* pool,
+  static Status PersistPayloads(DiskManager* disk,
                                 const std::vector<std::string>& payloads);
-
-  size_t buffer_pool_pages_ = 64;
 
   uint64_t size_ = 0;
   size_t encoded_bytes_ = 0;
@@ -165,7 +161,6 @@ class BacklogStore {
   std::string payload_;  // the append path's reused encode buffer
 
   std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<WriteAheadLog> wal_;
 };
 

@@ -64,15 +64,6 @@ DiskManager::~DiskManager() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<PageId> DiskManager::AllocatePage() {
-  Page zero;
-  zero.Zero();
-  const PageId id = page_count_;
-  TS_RETURN_NOT_OK(WritePageInternal(id, zero));
-  page_count_ = id + 1;
-  return id;
-}
-
 Status DiskManager::ReadPageOnce(PageId id, Page* out) const {
 #ifdef TEMPSPEC_FAILPOINTS
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
@@ -103,14 +94,6 @@ Status DiskManager::ReadPage(PageId id, Page* out) const {
   return st;
 }
 
-Status DiskManager::WritePage(PageId id, const Page& page) {
-  if (id >= page_count_) {
-    return Status::OutOfRange("page ", id, " beyond end of file (", page_count_,
-                              " pages); AllocatePage first");
-  }
-  return WritePageInternal(id, page);
-}
-
 Status DiskManager::WritePageOnce(PageId id, const Page& page) {
   const char* src = page.data;
   size_t want = kPageSize;
@@ -120,7 +103,7 @@ Status DiskManager::WritePageOnce(PageId id, const Page& page) {
   if (FailpointRegistry& registry = FailpointRegistry::Instance();
       registry.active()) {
     // Corrupting faults mutate the buffer; work on a copy so only the disk
-    // image is damaged, never the caller's in-memory frame.
+    // image is damaged, never the caller's page.
     std::memcpy(scratch.data, page.data, kPageSize);
     FailpointRegistry::WriteDecision decision =
         registry.OnWrite("disk.write_page", scratch.data, kPageSize);
@@ -146,16 +129,19 @@ Status DiskManager::WritePageOnce(PageId id, const Page& page) {
   return Status::OK();
 }
 
-Status DiskManager::WritePageInternal(PageId id, const Page& page) {
+Result<PageId> DiskManager::AppendPage(const Page& page) {
   // pwrite at a fixed offset is idempotent, so transient failures (even
-  // partial ones) are safe to retry.
+  // partial ones) are safe to retry. The page counts only once it is whole.
+  const PageId id = page_count_;
   Status st = Status::OK();
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
     if (attempt > 0) IoRetryBackoff(attempt);
     st = WritePageOnce(id, page);
     if (st.ok() || !st.IsIOError()) break;
   }
-  return st;
+  TS_RETURN_NOT_OK(st);
+  page_count_ = id + 1;
+  return id;
 }
 
 Status DiskManager::SyncOnce() {

@@ -17,7 +17,8 @@ Status FsyncPath(const std::string& path);
 /// truncations of directory entries durable.
 Status FsyncParentDirectory(const std::string& path);
 
-/// \brief Owns one data file as an array of pages.
+/// \brief Owns one append-only data file as an array of pages: a page is
+/// written once, when it is appended, and never rewritten in place.
 ///
 /// Crash tolerance: Open() truncates a trailing partial page (the signature
 /// of a crash mid-extension) instead of rejecting the file, and reads,
@@ -37,24 +38,22 @@ class DiskManager {
   /// \brief Number of pages currently in the file.
   uint64_t page_count() const { return page_count_; }
 
-  /// \brief Extends the file by one zeroed page; returns its id.
-  Result<PageId> AllocatePage();
+  /// \brief Writes `page` past the last page; returns its id. Not durable
+  /// until Sync().
+  Result<PageId> AppendPage(const Page& page);
 
   Status ReadPage(PageId id, Page* out) const;
-  Status WritePage(PageId id, const Page& page);
 
   /// \brief fsync.
   Status Sync();
 
-  /// \brief Discards all pages. Any cached frames above this manager must
-  /// be dropped by the caller first.
+  /// \brief Discards all pages.
   Status Truncate() { return TruncateToPages(0); }
 
   /// \brief Shrinks the file to its first `pages` pages and fsyncs, so the
   /// cut cannot be forgotten by a later crash. Recovery uses this to
   /// quarantine a damaged page suffix: once truncated, a later append can
-  /// never land beyond still-damaged pages. Cached frames for the dropped
-  /// range must be discarded by the caller.
+  /// never land beyond still-damaged pages.
   Status TruncateToPages(uint64_t pages);
 
   /// \brief Atomically renames the backing file to `new_path` (same
@@ -69,7 +68,6 @@ class DiskManager {
   DiskManager(std::string path, int fd, uint64_t page_count)
       : path_(std::move(path)), fd_(fd), page_count_(page_count) {}
 
-  Status WritePageInternal(PageId id, const Page& page);
   Status WritePageOnce(PageId id, const Page& page);
   Status ReadPageOnce(PageId id, Page* out) const;
   Status SyncOnce();

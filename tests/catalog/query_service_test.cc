@@ -9,9 +9,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -262,6 +264,54 @@ TEST(QueryServiceTest, MultipleRelationsGetDistinctStorageDirs) {
     EXPECT_NE(readings.find("0 element(s)"), std::string::npos);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(QueryServiceTest, DoubleRepliesParseBackToTheStoredValue) {
+  // A reply renders each DOUBLE as text that parses back to the stored
+  // bits; six significant digits printed 11400.25 as 11400.2.
+  const std::vector<std::string> literals = {
+      "11400.25", "0.1", "1e+20", "-3.5e-7", "0.3333333333333333",
+      "123456789.125", "2.5", "100", "-0", "1.7976931348623157e308",
+      "6.02214076e23", "4.9406564584124654e-300"};
+  QueryService service{QueryServiceOptions{}};
+  ASSERT_OK(service.Open());
+  ASSERT_OK(service.Execute(kCreate, nullptr).status());
+  for (size_t i = 0; i < literals.size(); ++i) {
+    const Status st =
+        service
+            .Execute("INSERT INTO readings OBJECT " + std::to_string(i + 1) +
+                         " VALUES (" + std::to_string(i) + ", " +
+                         literals[i] + ") VALID AT '1992-02-03 10:00:00'",
+                     nullptr)
+            .status();
+    ASSERT_TRUE(st.ok()) << literals[i] << ": " << st.ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(std::string reply,
+                       service.Execute("CURRENT readings", nullptr));
+  // Each row ends in its tuple: "... (<sensor>, <celsius>)".
+  std::vector<bool> seen(literals.size(), false);
+  std::istringstream rows(reply);
+  std::string row;
+  while (std::getline(rows, row)) {
+    const size_t open = row.rfind('(');
+    const size_t comma = row.find(", ", open);
+    if (open == std::string::npos || comma == std::string::npos ||
+        row.back() != ')') {
+      continue;
+    }
+    const size_t sensor = std::stoul(row.substr(open + 1, comma - open - 1));
+    ASSERT_LT(sensor, literals.size()) << row;
+    const std::string rendered =
+        row.substr(comma + 2, row.size() - comma - 3);
+    const double stored = std::strtod(literals[sensor].c_str(), nullptr);
+    const double parsed = std::strtod(rendered.c_str(), nullptr);
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed), std::bit_cast<uint64_t>(stored))
+        << "stored " << literals[sensor] << ", rendered " << rendered;
+    seen[sensor] = true;
+  }
+  for (size_t i = 0; i < literals.size(); ++i) {
+    EXPECT_TRUE(seen[i]) << literals[i] << " missing from:\n" << reply;
+  }
 }
 
 TEST(QueryServiceTest, ErrorsSurfaceCleanly) {

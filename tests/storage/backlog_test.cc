@@ -5,9 +5,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "obs/metrics.h"
-#include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/serde.h"
 #include "testing.h"
@@ -17,6 +18,7 @@ namespace tempspec {
 namespace {
 
 using testing::AppendOp;
+using testing::MakeCrashWorkload;
 using testing::MakeEventElement;
 using testing::OpenCollecting;
 using testing::T;
@@ -312,6 +314,145 @@ TEST(BacklogStoreTest, LargeElementsSpanPages) {
   EXPECT_EQ(recovered[7].element.attributes.at(0).AsString().size(), 3000u);
 }
 
+uint64_t PageFilePages(const std::string& dir) {
+  return std::filesystem::file_size(dir + "/backlog.pages") / kPageSize;
+}
+
+void ExpectSameHistory(const std::vector<BacklogEntry>& got,
+                       const std::vector<BacklogEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].Encode(), want[i].Encode()) << "op " << i;
+  }
+}
+
+TEST(BacklogStoreTest, MultiPageCheckpointsReopenByteIdentical) {
+  // ~900-byte records: each 30-op checkpoint batch spans several pages.
+  const std::vector<BacklogEntry> ops =
+      MakeCrashWorkload(0xB0FFEE, 120, /*payload_bytes=*/900);
+  TempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  options.sync_mode = SyncMode::kEveryN;
+  options.sync_every = 8;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_OK(AppendOp(store.get(), ops[i]));
+      if ((i + 1) % 30 == 0) {
+        const uint64_t before = PageFilePages(dir.path());
+        ASSERT_OK(store->Checkpoint());
+        EXPECT_GT(PageFilePages(dir.path()), before + 1)
+            << "checkpoint after op " << i << " fit on one page";
+      }
+    }
+    ASSERT_OK(store->Checkpoint());  // an empty batch appends no page
+  }
+  std::vector<BacklogEntry> recovered;
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+  EXPECT_EQ(store->size(), ops.size());
+  EXPECT_EQ(store->persisted_entries(), ops.size());
+  ExpectSameHistory(recovered, ops);
+}
+
+TEST(BacklogStoreTest, ZeroFilledPageIsQuarantined) {
+  // A file system may extend a file with a zero-filled block that a crash
+  // never filled in. Recovery must cut that never-completed page off and
+  // take the operations after it from the WAL.
+  const std::vector<BacklogEntry> ops = MakeCrashWorkload(7, 60, 200);
+  TempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  uint64_t pages = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    for (size_t i = 0; i < 40; ++i) ASSERT_OK(AppendOp(store.get(), ops[i]));
+    ASSERT_OK(store->Checkpoint());
+    pages = PageFilePages(dir.path());
+    {
+      std::ofstream file(dir.path() + "/backlog.pages",
+                         std::ios::binary | std::ios::app);
+      file << std::string(kPageSize, '\0');
+      ASSERT_TRUE(file.good());
+    }
+    ASSERT_EQ(PageFilePages(dir.path()), pages + 1);
+    for (size_t i = 40; i < ops.size(); ++i) {
+      ASSERT_OK(AppendOp(store.get(), ops[i]));
+    }
+  }
+  std::vector<BacklogEntry> recovered;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+    EXPECT_EQ(PageFilePages(dir.path()), pages) << "zero page not cut off";
+    EXPECT_EQ(store->persisted_entries(), 40u);
+    EXPECT_EQ(store->size(), ops.size());
+    ExpectSameHistory(recovered, ops);
+    ASSERT_OK(store->Checkpoint());
+    EXPECT_GT(PageFilePages(dir.path()), pages);
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+  EXPECT_EQ(store->persisted_entries(), ops.size());
+  ExpectSameHistory(recovered, ops);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(BacklogStoreTest, DamagedPageDeliversNoRecordFromIt) {
+  // A checkpoint whose WAL reset never reached the disk, with a flipped bit
+  // in the last record of its last page: the page's intact records must
+  // come back from the WAL with the rest, not from the page. Delivered from
+  // the page, they would count as checkpointed, and the next checkpoint,
+  // which persists only the WAL tail past that count, would drop them.
+  const std::vector<BacklogEntry> ops = MakeCrashWorkload(11, 60, 900);
+  TempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  const std::string wal = dir.path() + "/backlog.wal";
+  const std::string pages = dir.path() + "/backlog.pages";
+  std::string unreset_wal;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, BacklogStore::Open(options));
+    for (size_t i = 0; i < 40; ++i) ASSERT_OK(AppendOp(store.get(), ops[i]));
+    unreset_wal = ReadFile(wal);
+    ASSERT_OK(store->Checkpoint());
+  }
+  std::ofstream(wal, std::ios::binary | std::ios::trunc) << unreset_wal;
+  const uint64_t page_count = PageFilePages(dir.path());
+  {
+    Page page;
+    std::fstream file(pages, std::ios::binary | std::ios::in | std::ios::out);
+    const std::streamoff last = static_cast<std::streamoff>(page_count - 1) *
+                                static_cast<std::streamoff>(kPageSize);
+    file.seekg(last);
+    file.read(page.data, kPageSize);
+    SlottedPage sp(&page);
+    ASSERT_GE(sp.slot_count(), 2) << "the damaged page needs intact records";
+    ASSERT_OK_AND_ASSIGN(std::string_view record, sp.Get(sp.slot_count() - 1));
+    const std::streamoff at = last + (record.data() - page.data) +
+                              static_cast<std::streamoff>(record.size()) - 1;
+    file.seekp(at);
+    file.put(static_cast<char>(record.back() ^ 0x10));
+    ASSERT_TRUE(file.good());
+  }
+  std::vector<BacklogEntry> recovered;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+    EXPECT_EQ(PageFilePages(dir.path()), page_count - 1);
+    EXPECT_LT(store->persisted_entries(), 40u);
+    ExpectSameHistory(recovered, {ops.begin(), ops.begin() + 40});
+    for (size_t i = 40; i < ops.size(); ++i) {
+      ASSERT_OK(AppendOp(store.get(), ops[i]));
+    }
+    ASSERT_OK(store->Checkpoint());
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, OpenCollecting(options, &recovered));
+  EXPECT_EQ(store->persisted_entries(), ops.size());
+  ExpectSameHistory(recovered, ops);
+}
+
 TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
   // Rewrite the header as an older format version, magic intact. Reopen
   // must refuse loudly: a silent "recovery" would discard the data, since
@@ -328,8 +469,6 @@ TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
       ASSERT_OK(store->Checkpoint());
     }
     {
-      ASSERT_OK_AND_ASSIGN(auto disk,
-                           DiskManager::Open(dir.path() + "/backlog.pages"));
       Page page;
       SlottedPage sp(&page);
       sp.Init();
@@ -339,8 +478,11 @@ TEST(BacklogStoreTest, RejectsUnknownFormatVersion) {
       enc.PutU32(version);
       enc.PutU64(1u);  // v1: entry count; v3: epoch
       ASSERT_OK(sp.Insert(meta).status());
-      ASSERT_OK(disk->WritePage(0, page));
-      ASSERT_OK(disk->Sync());
+      std::fstream file(dir.path() + "/backlog.pages",
+                        std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file.is_open());
+      file.write(page.data, kPageSize);  // over page 0
+      ASSERT_TRUE(file.good());
     }
     auto reopened = BacklogStore::Open(options);
     ASSERT_FALSE(reopened.ok());

@@ -8,7 +8,9 @@
 // an in-memory shadow model. Each sweep also asserts that faults actually
 // fired, so a build with failpoints compiled out fails loudly instead of
 // passing vacuously.
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,7 +33,8 @@ uint64_t TrialSeed(uint64_t trigger) { return kSeedBase ^ (trigger * 1000003ull)
 
 /// Runs a 200-point crash sweep and returns how many trials actually
 /// crashed. Fault counters are reset first and asserted >0 afterwards.
-size_t Sweep(const CrashStrategy& strategy) {
+size_t Sweep(const CrashStrategy& strategy,
+             size_t checkpoint_every = kCheckpointEvery) {
   FailpointRegistry::Instance().ResetCounters();
   size_t crashed_trials = 0;
   for (uint64_t trigger = 0; trigger < kTriggers; ++trigger) {
@@ -39,7 +42,7 @@ size_t Sweep(const CrashStrategy& strategy) {
                  std::to_string(trigger));
     TrialOutcome out;
     RunBacklogCrashTrial(strategy, trigger, TrialSeed(trigger), kNumOps,
-                         kCheckpointEvery, &out);
+                         checkpoint_every, &out);
     if (::testing::Test::HasFatalFailure()) return crashed_trials;
     if (out.crashed) ++crashed_trials;
   }
@@ -164,6 +167,62 @@ TEST(CrashRecoveryTest, WalResetDropRegression) {
   const FaultCounters c = FailpointRegistry::Instance().counters();
   EXPECT_GT(c.dropped_syncs, 0u)
       << "no WAL reset was ever dropped; the regression was not exercised";
+}
+
+// Pages appended by one checkpoint batch, at least: a clean (fault-free)
+// run of the sweep's workload for `seed`, reading the page file's growth
+// across each checkpoint.
+uint64_t MinPagesPerCheckpoint(uint64_t seed, size_t payload_bytes,
+                               size_t checkpoint_every) {
+  CrashTempDir dir;
+  BacklogStore::Options options;
+  options.directory = dir.path();
+  options.sync_mode = SyncMode::kEveryN;
+  options.sync_every = 8;
+  const auto pages = [&] {
+    return std::filesystem::file_size(dir.path() + "/backlog.pages") /
+           kPageSize;
+  };
+  FailpointRegistry::Instance().DisarmAll();
+  auto store = BacklogStore::Open(options).ValueOrDie();
+  uint64_t min_growth = UINT64_MAX;
+  const std::vector<BacklogEntry> ops =
+      MakeCrashWorkload(seed, kNumOps, payload_bytes);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_OK(AppendOp(store.get(), ops[i]));
+    if ((i + 1) % checkpoint_every != 0) continue;
+    const uint64_t before = pages();
+    EXPECT_OK(store->Checkpoint());
+    min_growth = std::min<uint64_t>(min_growth, pages() - before);
+  }
+  return min_growth;
+}
+
+// Short page writes with records of up to 900 bytes and 50-op checkpoint
+// batches, so that every batch spans several pages and the sweep tears
+// pages in the middle of a batch, not only its last one: recovery must
+// quarantine from the torn page on and restore the whole batch from the
+// WAL, whichever of its pages tore.
+TEST(CrashRecoveryTest, TornPageMidMultiPageBatch) {
+  constexpr size_t kPayloadBytes = 900;
+  constexpr size_t kBatchOps = 50;
+  for (uint64_t trigger = 0; trigger < kTriggers; ++trigger) {
+    ASSERT_GT(
+        MinPagesPerCheckpoint(TrialSeed(trigger), kPayloadBytes, kBatchOps),
+        1u)
+        << "a checkpoint batch of the trigger " << trigger
+        << " workload fits on one page; the sweep would not tear a page "
+        << "in the middle of a batch";
+  }
+  CrashStrategy s;
+  s.name = "torn-page-mid-batch";
+  s.site = "disk.write_page";
+  s.kind = FaultKind::kShortWrite;
+  s.payload_bytes = kPayloadBytes;
+  const size_t crashed = Sweep(s, kBatchOps);
+  EXPECT_GT(crashed, 0u);
+  const FaultCounters c = FailpointRegistry::Instance().counters();
+  EXPECT_GT(c.short_writes, 0u);
 }
 
 // Backlog compaction (ReplaceAll) rewrites the page file through a side

@@ -1,4 +1,4 @@
-// DiskManager, BufferPool, and WAL tests (filesystem-backed).
+// DiskManager (append-only page file) and WAL tests (filesystem-backed).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/encoding.h"
 #include "storage/serde.h"
@@ -37,19 +36,22 @@ class TempDir {
   std::filesystem::path path_;
 };
 
-TEST(DiskManagerTest, AllocateWriteRead) {
+TEST(DiskManagerTest, AppendRead) {
   TempDir dir;
   ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
   EXPECT_EQ(disk->page_count(), 0u);
-  ASSERT_OK_AND_ASSIGN(PageId id, disk->AllocatePage());
-  EXPECT_EQ(id, 0u);
   Page page;
   page.Zero();
-  std::snprintf(page.data, kPageSize, "payload-%d", 42);
-  ASSERT_OK(disk->WritePage(id, page));
+  for (int i = 0; i < 3; ++i) {
+    std::snprintf(page.data, kPageSize, "payload-%d", 40 + i);
+    ASSERT_OK_AND_ASSIGN(PageId id, disk->AppendPage(page));
+    EXPECT_EQ(id, static_cast<PageId>(i));
+    EXPECT_EQ(disk->page_count(), static_cast<uint64_t>(i + 1));
+  }
   Page read;
-  ASSERT_OK(disk->ReadPage(id, &read));
-  EXPECT_STREQ(read.data, "payload-42");
+  ASSERT_OK(disk->ReadPage(1, &read));
+  EXPECT_STREQ(read.data, "payload-41");
+  EXPECT_EQ(std::filesystem::file_size(dir.file("data")), 3 * kPageSize);
 }
 
 TEST(DiskManagerTest, BoundsChecked) {
@@ -57,18 +59,17 @@ TEST(DiskManagerTest, BoundsChecked) {
   ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
   Page page;
   EXPECT_TRUE(disk->ReadPage(5, &page).IsOutOfRange());
-  EXPECT_TRUE(disk->WritePage(5, page).IsOutOfRange());
+  EXPECT_TRUE(disk->TruncateToPages(1).IsOutOfRange());
 }
 
 TEST(DiskManagerTest, PersistsAcrossReopen) {
   TempDir dir;
   {
     ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
-    ASSERT_OK(disk->AllocatePage().status());
     Page page;
     page.Zero();
     page.data[0] = 'Z';
-    ASSERT_OK(disk->WritePage(0, page));
+    ASSERT_OK(disk->AppendPage(page).status());
     ASSERT_OK(disk->Sync());
   }
   ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
@@ -78,63 +79,44 @@ TEST(DiskManagerTest, PersistsAcrossReopen) {
   EXPECT_EQ(page.data[0], 'Z');
 }
 
-TEST(BufferPoolTest, HitAndMissAccounting) {
+TEST(DiskManagerTest, OpenCutsATornTailPage) {
+  // A crash inside AppendPage leaves a partial page past the last whole one.
   TempDir dir;
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
-  BufferPool pool(disk.get(), 4);
-  ASSERT_OK_AND_ASSIGN(PageGuard g0, pool.Allocate());
-  const PageId id = g0.id();
-  g0.Release();
-  EXPECT_EQ(pool.misses(), 1u);
-  { ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Fetch(id)); }
-  EXPECT_EQ(pool.hits(), 1u);
-}
-
-TEST(BufferPoolTest, EvictsLruAndWritesBackDirty) {
-  TempDir dir;
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
-  BufferPool pool(disk.get(), 2);
-  // Write distinct bytes into 5 pages through a 2-frame pool.
-  std::vector<PageId> ids;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Allocate());
-    g.mutable_page()->data[0] = static_cast<char>('a' + i);
-    ids.push_back(g.id());
-  }
-  EXPECT_GT(pool.evictions(), 0u);
-  // All pages readable with their bytes (dirty evictions were written back).
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Fetch(ids[i]));
-    EXPECT_EQ(g.page().data[0], static_cast<char>('a' + i));
-  }
-}
-
-TEST(BufferPoolTest, AllPinnedFails) {
-  TempDir dir;
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
-  BufferPool pool(disk.get(), 2);
-  ASSERT_OK_AND_ASSIGN(PageGuard g0, pool.Allocate());
-  ASSERT_OK_AND_ASSIGN(PageGuard g1, pool.Allocate());
-  auto g2 = pool.Allocate();
-  EXPECT_FALSE(g2.ok());
-  g0.Release();
-  auto g3 = pool.Allocate();
-  EXPECT_TRUE(g3.ok());
-}
-
-TEST(BufferPoolTest, FlushAllPersists) {
-  TempDir dir;
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
   {
-    BufferPool pool(disk.get(), 8);
-    ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Allocate());
-    g.mutable_page()->data[7] = 'Q';
-    g.Release();
-    ASSERT_OK(pool.FlushAll());
+    ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
+    Page page;
+    page.Zero();
+    ASSERT_OK(disk->AppendPage(page).status());
+    ASSERT_OK(disk->AppendPage(page).status());
   }
+  {
+    std::ofstream out(dir.file("data"), std::ios::binary | std::ios::app);
+    out << std::string(100, 'x');
+  }
+  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
+  EXPECT_EQ(disk->page_count(), 2u);
+  EXPECT_EQ(std::filesystem::file_size(dir.file("data")), 2 * kPageSize);
+}
+
+TEST(DiskManagerTest, TruncateThenAppendReusesTheCutRange) {
+  TempDir dir;
+  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(dir.file("data")));
   Page page;
-  ASSERT_OK(disk->ReadPage(0, &page));
-  EXPECT_EQ(page.data[7], 'Q');
+  page.Zero();
+  for (char c : {'a', 'b', 'c'}) {
+    page.data[0] = c;
+    ASSERT_OK(disk->AppendPage(page).status());
+  }
+  ASSERT_OK(disk->TruncateToPages(1));
+  page.data[0] = 'd';
+  ASSERT_OK_AND_ASSIGN(PageId id, disk->AppendPage(page));
+  EXPECT_EQ(id, 1u);
+  Page read;
+  ASSERT_OK(disk->ReadPage(0, &read));
+  EXPECT_EQ(read.data[0], 'a');
+  ASSERT_OK(disk->ReadPage(1, &read));
+  EXPECT_EQ(read.data[0], 'd');
+  EXPECT_EQ(std::filesystem::file_size(dir.file("data")), 2 * kPageSize);
 }
 
 TEST(WalTest, AppendAndReplay) {

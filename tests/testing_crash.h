@@ -261,7 +261,6 @@ struct CrashStrategy {
   /// model active). Otherwise only prefix-consistency + the checkpoint
   /// floor are guaranteed.
   bool lossless = false;
-  size_t pool_pages = 64;
   size_t payload_bytes = 24;
 };
 
@@ -296,7 +295,6 @@ inline void RunBacklogCrashTrial(const CrashStrategy& strategy, uint64_t trigger
   options.directory = dir.path();
   options.sync_mode = strategy.sync_mode;
   options.sync_every = strategy.sync_every;
-  options.buffer_pool_pages = strategy.pool_pages;
 
   FaultSpec spec;
   spec.kind = strategy.kind;
